@@ -52,7 +52,7 @@ class GraphBuilder {
   /// Adds an undirected edge; duplicates accumulate, self-loops are ignored.
   /// Heavily duplicated streams (the statistics co-access graph adds one
   /// edge per co-accessed value pair per transaction) are coalesced
-  /// incrementally, so the pending buffer stays near the distinct-edge
+  /// periodically, so the pending buffer stays near the distinct-edge
   /// count instead of the raw insertion count. Weight summation is
   /// commutative, so Build() output is unchanged.
   void AddEdge(NodeId a, NodeId b, uint64_t weight = 1);
@@ -60,7 +60,7 @@ class GraphBuilder {
   /// Builds the immutable graph; the builder is left empty.
   Graph Build();
 
-  /// Buffered edges right now; an incremental coalesce may have merged
+  /// Buffered edges right now; a periodic coalesce may have merged
   /// duplicates already, so this is an upper bound on distinct edges and a
   /// lower bound on insertions.
   size_t num_pending_edges() const { return edges_.size(); }
@@ -77,7 +77,7 @@ class GraphBuilder {
 
   std::vector<uint64_t> node_weight_;
   std::vector<RawEdge> edges_;
-  /// Buffer size that triggers the next incremental coalesce; adapts so a
+  /// Buffer size that triggers the next coalesce; adapts so a
   /// mostly-distinct stream is not repeatedly re-sorted.
   size_t coalesce_threshold_;
 };

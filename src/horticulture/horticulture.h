@@ -3,7 +3,10 @@
 // (hash partitioning) or replication; a large-neighborhood search relaxes a
 // few tables at a time and re-optimizes them against a skew-aware cost
 // model (distributed-transaction fraction, partitions touched, and load
-// skew), evaluated on the training trace.
+// skew), evaluated on the training trace. LNS trials are scored by delta
+// evaluation (delta_evaluator.h): the incumbent design stays fully
+// evaluated and each trial — which differs in one table — rescans only
+// that table's affected transactions, bit-identical to full evaluation.
 #pragma once
 
 #include <cstdint>
@@ -34,16 +37,7 @@ struct HorticultureOptions {
   /// Evaluate candidates on at most this many training transactions.
   size_t sample_txns = 20000;
   uint64_t seed = 17;
-  /// Score LNS trials incrementally (delta_evaluator.h): the incumbent
-  /// design is kept fully evaluated and each trial — which differs in one
-  /// table — rescans only that table's affected transactions. EvalResults
-  /// are bit-identical to full evaluation, so the search trajectory (every
-  /// accept/reject and the final design) never changes.
-  bool delta = true;
-  /// Partition-scan kernel for trial scoring (partition_scan.h; every
-  /// kernel is bit-identical to kScalar).
-  ScanKernel scan_kernel = ScanKernel::kAuto;
-  /// Re-proves delta == full on every trial (aborts on divergence). For
+  /// Re-proves delta == full on every LNS trial (aborts on divergence). For
   /// tests; defeats the speedup.
   bool delta_self_check = false;
 };

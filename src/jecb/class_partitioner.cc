@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <climits>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -15,62 +17,14 @@ namespace jecb {
 
 namespace {
 
-/// Legacy row-oriented tree evaluator: memoizes join-path evaluations per
-/// covered table while scanning a Trace. One instance lives per metric pass
-/// (nothing is shared across trees) — this is exactly the pre-columnar scan
-/// the `columnar` toggle benchmarks against.
-class TreeEvaluator {
+/// Resolves one join tree's root values for the SoA accesses of a FlatTrace
+/// through the class's shared JoinPathResolver. Construction binds each
+/// covered table to its shared path cache once, so the per-access hot path
+/// is an array index plus a flat-table probe.
+class TreeResolver {
  public:
-  TreeEvaluator(const Database& db, const JoinTree& tree) : db_(db), tree_(tree) {}
-
-  /// Collects the distinct root values of a transaction's covered accesses.
-  /// Returns false when any path evaluation fails.
-  bool Collect(const Transaction& txn, size_t max_values, std::vector<Value>* out) {
-    out->clear();
-    for (const Access& a : txn.accesses) {
-      auto it = tree_.paths.find(a.tuple.table);
-      if (it == tree_.paths.end()) continue;
-      const Value* v = Lookup(it->second, a.tuple);
-      if (v == nullptr) return false;
-      if (std::find(out->begin(), out->end(), *v) == out->end()) {
-        out->push_back(*v);
-        if (out->size() > max_values) return true;  // caller treats as violation
-      }
-    }
-    return true;
-  }
-
-  bool Touches(const Transaction& txn) const {
-    for (const Access& a : txn.accesses) {
-      if (tree_.paths.count(a.tuple.table) > 0) return true;
-    }
-    return false;
-  }
-
- private:
-  const Value* Lookup(const JoinPath& path, TupleId tuple) {
-    auto& cache = cache_[tuple.table];
-    auto it = cache.find(tuple.row);
-    if (it != cache.end()) return it->second.has_value() ? &*it->second : nullptr;
-    Result<Value> v = path.Evaluate(db_, tuple);
-    auto& slot = cache[tuple.row];
-    if (v.ok()) slot = std::move(v).value();
-    return slot.has_value() ? &*slot : nullptr;
-  }
-
-  const Database& db_;
-  const JoinTree& tree_;
-  std::unordered_map<TableId, std::unordered_map<RowId, std::optional<Value>>> cache_;
-};
-
-/// Columnar tree evaluator: scans SoA accesses of a FlatTrace and resolves
-/// root values through the class's shared JoinPathResolver. Construction
-/// binds each covered table to its shared path cache once, so the per-access
-/// hot path is an array index plus a flat-table probe.
-class FlatTreeEvaluator {
- public:
-  FlatTreeEvaluator(const Database& db, const FlatTrace& flat, const JoinTree& tree,
-                    JoinPathResolver* resolver)
+  TreeResolver(const Database& db, const FlatTrace& flat, const JoinTree& tree,
+               JoinPathResolver* resolver)
       : flat_(flat), per_table_(db.schema().num_tables(), nullptr) {
     for (const auto& [table, path] : tree.paths) {
       per_table_[table] = resolver->Cache(path);
@@ -84,7 +38,10 @@ class FlatTreeEvaluator {
     return false;
   }
 
-  /// Same contract (and the same access order) as TreeEvaluator::Collect.
+  /// Collects the distinct root values of a transaction's covered accesses,
+  /// in access order. Returns false when any path resolution fails; stops
+  /// early once more than `max_values` values are collected (the caller
+  /// treats that as a violation).
   bool Collect(uint32_t txn, size_t max_values, std::vector<Value>* out) {
     out->clear();
     for (const PackedAccess a : flat_.accesses(txn)) {
@@ -104,120 +61,6 @@ class FlatTreeEvaluator {
  private:
   const FlatTrace& flat_;
   std::vector<JoinPathResolver::PathCache*> per_table_;
-};
-
-}  // namespace
-
-/// The trace-scanning operations Phase 2 needs, factored out so SolveGraph /
-/// StatsFallback run unchanged over either data layout. Costing several
-/// mappings shares one root-value resolution pass (the mappings only differ
-/// after resolution), which is what keeps StatsFallback from rebuilding the
-/// cache once per mapping.
-class ClassScan {
- public:
-  virtual ~ClassScan() = default;
-
-  virtual bool TrainEmpty() const = 0;
-
-  /// Definition-7 fit of `tree` over the training part.
-  virtual TreeFit MeasureFit(const JoinTree& tree) const = 0;
-
-  /// Calls `fn` once per training transaction whose covered accesses all
-  /// resolve to a non-empty set of at most `max_values` distinct root
-  /// values (the statistics-fallback gathering pass).
-  virtual void ForEachTrainValueSet(
-      const JoinTree& tree, size_t max_values,
-      const std::function<void(const std::vector<Value>&)>& fn) const = 0;
-
-  /// Distributed fraction of each mapping over the validation part (holdout
-  /// when non-empty, train otherwise), resolving each transaction's root
-  /// values once and reusing them for every mapping.
-  virtual std::vector<double> CostMappings(
-      const JoinTree& tree, size_t max_values,
-      const std::vector<const MappingFunction*>& mappings) const = 0;
-};
-
-namespace {
-
-/// Shared mapping-costing arithmetic: the per-transaction loop body after
-/// the root values have been collected. Mirrors the legacy TreeCost exactly.
-void CostCollected(const std::vector<Value>& values,
-                   const std::vector<const MappingFunction*>& mappings,
-                   std::vector<uint64_t>* distributed) {
-  for (size_t m = 0; m < mappings.size(); ++m) {
-    int32_t part = kUnknownPartition;
-    bool multi = false;
-    for (const Value& v : values) {
-      int32_t p = mappings[m]->Map(v);
-      if (part == kUnknownPartition) {
-        part = p;
-      } else if (p != part) {
-        multi = true;
-        break;
-      }
-    }
-    if (multi) ++(*distributed)[m];
-  }
-}
-
-std::vector<double> FinishCosts(uint64_t total,
-                                const std::vector<uint64_t>& distributed) {
-  std::vector<double> costs(distributed.size(), 0.0);
-  for (size_t m = 0; m < distributed.size(); ++m) {
-    costs[m] = total == 0 ? 0.0
-                          : static_cast<double>(distributed[m]) /
-                                static_cast<double>(total);
-  }
-  return costs;
-}
-
-class LegacyScan : public ClassScan {
- public:
-  LegacyScan(const Database& db, const Trace& train, const Trace& holdout)
-      : db_(db), train_(train), holdout_(holdout) {}
-
-  bool TrainEmpty() const override { return train_.empty(); }
-
-  TreeFit MeasureFit(const JoinTree& tree) const override {
-    return MeasureTreeFit(db_, tree, train_);
-  }
-
-  void ForEachTrainValueSet(
-      const JoinTree& tree, size_t max_values,
-      const std::function<void(const std::vector<Value>&)>& fn) const override {
-    TreeEvaluator eval(db_, tree);
-    std::vector<Value> values;
-    for (const Transaction& txn : train_.transactions()) {
-      if (!eval.Collect(txn, max_values, &values)) continue;
-      if (values.empty() || values.size() > max_values) continue;
-      fn(values);
-    }
-  }
-
-  std::vector<double> CostMappings(
-      const JoinTree& tree, size_t max_values,
-      const std::vector<const MappingFunction*>& mappings) const override {
-    const Trace& validation = holdout_.empty() ? train_ : holdout_;
-    TreeEvaluator eval(db_, tree);
-    std::vector<Value> values;
-    uint64_t total = 0;
-    std::vector<uint64_t> distributed(mappings.size(), 0);
-    for (const Transaction& txn : validation.transactions()) {
-      if (!eval.Touches(txn)) continue;
-      ++total;
-      if (!eval.Collect(txn, max_values, &values) || values.size() > max_values) {
-        for (uint64_t& d : distributed) ++d;
-        continue;
-      }
-      CostCollected(values, mappings, &distributed);
-    }
-    return FinishCosts(total, distributed);
-  }
-
- private:
-  const Database& db_;
-  const Trace& train_;
-  const Trace& holdout_;
 };
 
 /// Compacted, class-local copy of one training view's accesses, built once
@@ -354,54 +197,135 @@ class ValueIdScan {
   std::unordered_map<JoinPathResolver::PathCache*, std::vector<uint32_t>> arrays_;
 };
 
-class FlatScan : public ClassScan {
+}  // namespace
+
+/// The trace scans Phase 2 runs over one class: the training and holdout
+/// views plus the class's shared join-path resolver. One Phase-2 task owns
+/// one FlatScan, so its mutable caches need no locking.
+class FlatScan {
  public:
   FlatScan(const Database& db, TraceView train, TraceView holdout,
-           JoinPathResolver* resolver, bool incremental)
+           JoinPathResolver* resolver, bool self_check)
       : db_(db), train_(train), holdout_(holdout), resolver_(resolver),
-        incremental_(incremental) {}
+        self_check_(self_check) {}
 
-  bool TrainEmpty() const override { return train_.empty(); }
+  bool TrainEmpty() const { return train_.empty(); }
 
-  // Phase 2 measures the fit of every enumerated tree with a full scan of
-  // the class's training view — by far the hottest loop of the pipeline
-  // (thousands of scans per workload). Two exact accelerations, both behind
-  // the `incremental` toggle (off = the pre-incremental scan, kept as the
-  // bit-identity oracle):
-  //  1. A memo keyed by the tree's canonical path set: the fit depends only
-  //     on tree.paths (the root merely names the destination attribute the
-  //     paths already encode), so equal path sets must score equally.
-  //  2. On a miss, a sequential integer scan of the compacted ClassSlice
-  //     against per-path value-id arrays, instead of a hash probe + Value
-  //     comparison per access.
-  // Both reproduce MeasureTreeFit's counts exactly: id equality is Value
-  // equality, and the early exits only skip accesses that cannot change the
-  // per-transaction verdict.
-  TreeFit MeasureFit(const JoinTree& tree) const override {
+  /// Definition-7 fit of `tree` over the training view. Phase 2 measures
+  /// every enumerated tree — by far the hottest loop of the pipeline
+  /// (thousands of scans per workload) — so two exact accelerations replace
+  /// the plain MeasureTreeFit scan:
+  ///  1. A memo keyed by the tree's canonical path set: the fit depends only
+  ///     on tree.paths (the root merely names the destination attribute the
+  ///     paths already encode), so equal path sets must score equally.
+  ///  2. On a miss, a sequential integer scan of the compacted ClassSlice
+  ///     against per-path value-id arrays, instead of a hash probe + Value
+  ///     comparison per access.
+  /// Both reproduce MeasureTreeFit's counts exactly: id equality is Value
+  /// equality, and the early exits only skip accesses that cannot change the
+  /// per-transaction verdict. With `self_check`, every fit is re-measured by
+  /// MeasureTreeFit and a mismatch aborts the process.
+  TreeFit MeasureFit(const JoinTree& tree) const {
     MetricsRegistry::Default().AddCounter("jecb_phase2_fit_scans_total", 1);
-    if (!incremental_) {
-      return MeasureTreeFit(db_, tree, train_, resolver_);
-    }
     std::vector<std::pair<TableId, const void*>> key;
     key.reserve(tree.paths.size());
     for (const auto& [t, path] : tree.paths) {
       key.emplace_back(t, id_scan().PathKey(path));  // paths is a std::map: sorted
     }
+    TreeFit fit;
     auto memo = fit_memo_.find(key);
     if (memo != fit_memo_.end()) {
       MetricsRegistry::Default().AddCounter("jecb_phase2_fit_memo_hits_total", 1);
-      return memo->second;
+      fit = memo->second;
+    } else {
+      fit = ScanFit(tree);
+      fit_memo_.emplace(std::move(key), fit);
     }
+    if (self_check_) {
+      const TreeFit full = MeasureTreeFit(db_, tree, train_, resolver_);
+      if (!(full == fit)) {
+        std::fprintf(stderr,
+                     "FATAL: Phase-2 fit diverged from MeasureTreeFit "
+                     "(fit txns=%llu violations=%llu, full txns=%llu "
+                     "violations=%llu, paths=%zu)\n",
+                     static_cast<unsigned long long>(fit.txns),
+                     static_cast<unsigned long long>(fit.violations),
+                     static_cast<unsigned long long>(full.txns),
+                     static_cast<unsigned long long>(full.violations),
+                     tree.paths.size());
+        std::abort();
+      }
+    }
+    return fit;
+  }
+
+  /// Calls `fn` once per training transaction whose covered accesses all
+  /// resolve to a non-empty set of at most `max_values` distinct root
+  /// values (the statistics-fallback gathering pass).
+  void ForEachTrainValueSet(
+      const JoinTree& tree, size_t max_values,
+      const std::function<void(const std::vector<Value>&)>& fn) const {
+    TreeResolver eval(db_, train_.trace(), tree, resolver_);
+    std::vector<Value> values;
+    for (size_t i = 0; i < train_.size(); ++i) {
+      if (!eval.Collect(train_.txn(i), max_values, &values)) continue;
+      if (values.empty() || values.size() > max_values) continue;
+      fn(values);
+    }
+  }
+
+  /// Distributed fraction of each mapping over the validation view (holdout
+  /// when non-empty, train otherwise). Root-value resolution is
+  /// mapping-independent, so each transaction's values are collected once
+  /// and reused for every mapping.
+  std::vector<double> CostMappings(
+      const JoinTree& tree, size_t max_values,
+      const std::vector<const MappingFunction*>& mappings) const {
+    const TraceView& validation = holdout_.empty() ? train_ : holdout_;
+    TreeResolver eval(db_, validation.trace(), tree, resolver_);
+    std::vector<Value> values;
+    uint64_t total = 0;
+    std::vector<uint64_t> distributed(mappings.size(), 0);
+    for (size_t i = 0; i < validation.size(); ++i) {
+      const uint32_t txn = validation.txn(i);
+      if (!eval.Touches(txn)) continue;
+      ++total;
+      if (!eval.Collect(txn, max_values, &values) || values.size() > max_values) {
+        for (uint64_t& d : distributed) ++d;
+        continue;
+      }
+      for (size_t m = 0; m < mappings.size(); ++m) {
+        int32_t part = kUnknownPartition;
+        for (const Value& v : values) {
+          const int32_t p = mappings[m]->Map(v);
+          if (part == kUnknownPartition) {
+            part = p;
+          } else if (p != part) {
+            ++distributed[m];
+            break;
+          }
+        }
+      }
+    }
+    std::vector<double> costs(mappings.size(), 0.0);
+    for (size_t m = 0; m < mappings.size(); ++m) {
+      costs[m] = total == 0 ? 0.0
+                            : static_cast<double>(distributed[m]) /
+                                  static_cast<double>(total);
+    }
+    return costs;
+  }
+
+ private:
+  /// The value-id scan of one tree over the compacted training slice.
+  TreeFit ScanFit(const JoinTree& tree) const {
     MetricsRegistry::Default().AddCounter("jecb_phase2_fit_txns_total",
                                           train_.size());
-
-    const ClassSlice& slice = *slice_;
-    const size_t num_tables = db_.schema().num_tables();
-    std::vector<const uint32_t*> ids_of(num_tables, nullptr);
+    std::vector<const uint32_t*> ids_of(db_.schema().num_tables(), nullptr);
     for (const auto& [t, path] : tree.paths) {
       ids_of[t] = id_scan().Ids(path)->data();
     }
-
+    const ClassSlice& slice = *slice_;
     TreeFit fit;
     for (size_t t = 0; t < slice.num_txns(); ++t) {
       uint32_t first = 0;
@@ -428,53 +352,10 @@ class FlatScan : public ClassScan {
       ++fit.txns;
       if (violation) ++fit.violations;
     }
-    fit_memo_.emplace(std::move(key), fit);
     return fit;
   }
 
-  void ForEachTrainValueSet(
-      const JoinTree& tree, size_t max_values,
-      const std::function<void(const std::vector<Value>&)>& fn) const override {
-    FlatTreeEvaluator eval(db_, train_.trace(), tree, resolver_);
-    std::vector<Value> values;
-    for (size_t i = 0; i < train_.size(); ++i) {
-      if (!eval.Collect(train_.txn(i), max_values, &values)) continue;
-      if (values.empty() || values.size() > max_values) continue;
-      fn(values);
-    }
-  }
-
-  std::vector<double> CostMappings(
-      const JoinTree& tree, size_t max_values,
-      const std::vector<const MappingFunction*>& mappings) const override {
-    const TraceView& validation = holdout_.empty() ? train_ : holdout_;
-    FlatTreeEvaluator eval(db_, validation.trace(), tree, resolver_);
-    std::vector<Value> values;
-    uint64_t total = 0;
-    std::vector<uint64_t> distributed(mappings.size(), 0);
-    for (size_t i = 0; i < validation.size(); ++i) {
-      const uint32_t txn = validation.txn(i);
-      if (!eval.Touches(txn)) continue;
-      ++total;
-      if (!eval.Collect(txn, max_values, &values) || values.size() > max_values) {
-        for (uint64_t& d : distributed) ++d;
-        continue;
-      }
-      CostCollected(values, mappings, &distributed);
-    }
-    return FinishCosts(total, distributed);
-  }
-
- private:
-  const Database& db_;
-  TraceView train_;
-  TraceView holdout_;
-  JoinPathResolver* resolver_;
-  const bool incremental_;
-
-  // Slice + id arrays build lazily on the first fit scan. Single-threaded
-  // per class (one Phase-2 task owns one FlatScan), so the mutable caches
-  // need no locking.
+  // Slice + id arrays build lazily on the first fit scan.
   ValueIdScan& id_scan() const {
     if (slice_ == nullptr) {
       slice_ = std::make_unique<ClassSlice>(train_);
@@ -482,12 +363,16 @@ class FlatScan : public ClassScan {
     }
     return *id_scan_;
   }
+
+  const Database& db_;
+  TraceView train_;
+  TraceView holdout_;
+  JoinPathResolver* resolver_;
+  const bool self_check_;
   mutable std::unique_ptr<ClassSlice> slice_;
   mutable std::optional<ValueIdScan> id_scan_;
   mutable std::map<std::vector<std::pair<TableId, const void*>>, TreeFit> fit_memo_;
 };
-
-}  // namespace
 
 std::string_view SolutionTierToString(SolutionTier tier) {
   switch (tier) {
@@ -501,22 +386,10 @@ std::string_view SolutionTierToString(SolutionTier tier) {
   return "?";
 }
 
-TreeFit MeasureTreeFit(const Database& db, const JoinTree& tree, const Trace& trace) {
-  TreeFit fit;
-  TreeEvaluator eval(db, tree);
-  std::vector<Value> values;
-  for (const Transaction& txn : trace.transactions()) {
-    if (!eval.Touches(txn)) continue;
-    ++fit.txns;
-    if (!eval.Collect(txn, 1, &values) || values.size() > 1) ++fit.violations;
-  }
-  return fit;
-}
-
 TreeFit MeasureTreeFit(const Database& db, const JoinTree& tree,
                        const TraceView& view, JoinPathResolver* resolver) {
   TreeFit fit;
-  FlatTreeEvaluator eval(db, view.trace(), tree, resolver);
+  TreeResolver eval(db, view.trace(), tree, resolver);
   std::vector<Value> values;
   for (size_t i = 0; i < view.size(); ++i) {
     const uint32_t txn = view.txn(i);
@@ -541,7 +414,7 @@ bool IsCoarserTree(const AttributeLattice& lattice, const JoinTree& a,
 }
 
 Result<ClassSolution> ClassPartitioner::StatsFallback(const JoinTree& tree,
-                                                      const ClassScan& scan) const {
+                                                      const FlatScan& scan) const {
   // Gather per-transaction root value sets (one shared resolution pass).
   std::vector<std::vector<Value>> txn_values;
   std::unordered_map<Value, NodeId, ValueHashFunctor> node_of;
@@ -624,7 +497,7 @@ Result<ClassSolution> ClassPartitioner::StatsFallback(const JoinTree& tree,
 }
 
 std::vector<ClassSolution> ClassPartitioner::SolveGraph(const JoinGraph& graph,
-                                                        const ClassScan& scan,
+                                                        const FlatScan& scan,
                                                         bool as_total, int depth) const {
   std::vector<ClassSolution> out;
   if (graph.partitioned_tables.empty()) return out;
@@ -717,9 +590,14 @@ std::vector<ClassSolution> ClassPartitioner::SolveGraph(const JoinGraph& graph,
   return out;
 }
 
-ClassPartitioningResult ClassPartitioner::PartitionWithScan(
-    const JoinGraph& graph, const ClassScan& scan, const std::string& name,
-    uint32_t class_id, double mix_fraction) const {
+ClassPartitioningResult ClassPartitioner::Partition(const JoinGraph& graph,
+                                                    const TraceView& class_view,
+                                                    JoinPathResolver* resolver,
+                                                    const std::string& name,
+                                                    uint32_t class_id,
+                                                    double mix_fraction) const {
+  auto [train, holdout] = class_view.SplitTrainTest(options_.holdout_fraction);
+  const FlatScan scan(*db_, train, holdout, resolver, options_.delta_self_check);
   ClassPartitioningResult result;
   result.class_name = name;
   result.class_id = class_id;
@@ -767,7 +645,7 @@ ClassPartitioningResult ClassPartitioner::PartitionWithScan(
       auto trees = EnumerateTrees(schema(), graph, *lattice_, c, cover,
                                   options_.tree_enum);
       for (auto& tree : trees) {
-          TreeFit fit = scan.MeasureFit(tree);
+        TreeFit fit = scan.MeasureFit(tree);
         if (fit.txns == 0 || fit.violations != 0) continue;
         ClassSolution sol;
         sol.tree = std::move(tree);
@@ -791,27 +669,6 @@ ClassPartitioningResult ClassPartitioner::PartitionWithScan(
     }
   }
   return result;
-}
-
-ClassPartitioningResult ClassPartitioner::Partition(const JoinGraph& graph,
-                                                    const Trace& class_trace,
-                                                    const std::string& name,
-                                                    uint32_t class_id,
-                                                    double mix_fraction) const {
-  auto [train, holdout] = class_trace.SplitTrainTest(options_.holdout_fraction);
-  LegacyScan scan(*db_, train, holdout);
-  return PartitionWithScan(graph, scan, name, class_id, mix_fraction);
-}
-
-ClassPartitioningResult ClassPartitioner::Partition(const JoinGraph& graph,
-                                                    const TraceView& class_view,
-                                                    JoinPathResolver* resolver,
-                                                    const std::string& name,
-                                                    uint32_t class_id,
-                                                    double mix_fraction) const {
-  auto [train, holdout] = class_view.SplitTrainTest(options_.holdout_fraction);
-  FlatScan scan(*db_, train, holdout, resolver, options_.incremental);
-  return PartitionWithScan(graph, scan, name, class_id, mix_fraction);
 }
 
 }  // namespace jecb

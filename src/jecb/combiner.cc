@@ -38,6 +38,8 @@ bool CandidateCoarser(const AttributeLattice& lattice, const TableSolutionCandid
 Result<DatabaseSolution> Combiner::Combine(
     const std::vector<ClassPartitioningResult>& classes, const Trace& train,
     CombinerReport* report, ThreadPool* pool, const FlatTrace* flat) const {
+  std::optional<FlatTrace> own_flat;
+  if (flat == nullptr) flat = &own_flat.emplace(FlatTrace::FromTrace(train));
   CombinerReport local_report;
   CombinerReport& rep = report != nullptr ? *report : local_report;
 
@@ -122,11 +124,7 @@ Result<DatabaseSolution> Combiner::Combine(
       solution.Set(static_cast<TableId>(t), replicated);
     }
     rep.chosen_attr = "(none: full replication)";
-    EvalResult ev =
-        flat != nullptr
-            ? Evaluate(*db_, solution, *flat, pool, options_.scan_kernel)
-            : Evaluate(*db_, solution, train, pool);
-    rep.best_train_cost = cost_model.Cost(ev);
+    rep.best_train_cost = cost_model.Cost(Evaluate(*db_, solution, *flat, pool));
     return solution;
   }
 
@@ -138,11 +136,8 @@ Result<DatabaseSolution> Combiner::Combine(
 
   // The trace-side delta indexes are attribute-independent: build them once,
   // rebase per candidate attribute.
-  std::optional<DeltaEvaluator> delta_eval;
-  if (options_.delta && flat != nullptr) {
-    delta_eval.emplace(db_, flat, pool, options_.scan_kernel);
-    delta_eval->set_self_check(options_.delta_self_check);
-  }
+  DeltaEvaluator delta_eval(db_, flat, pool);
+  delta_eval.set_self_check(options_.delta_self_check);
 
   for (ColumnRef X : attrs) {
     // Reduced solution sets.
@@ -274,28 +269,18 @@ Result<DatabaseSolution> Combiner::Combine(
     // then score every combination as base +/- the contribution of the
     // transactions touching tables whose partitioner differs from it.
     // Because solutions share partitioner objects, DiffTables reduces to
-    // pointer comparisons for unchanged tables.
-    std::optional<DatabaseSolution> delta_base;
-    if (delta_eval.has_value() && !combos.empty()) {
-      delta_base.emplace(build(combos[0]));
-      delta_eval->Rebase(*delta_base);
-    }
+    // pointer comparisons for unchanged tables. The odometer always emits
+    // at least one combination, so combos[0] exists.
+    const DatabaseSolution delta_base = build(combos[0]);
+    delta_eval.Rebase(delta_base);
 
     std::vector<double> costs(combos.size(), 0.0);
     ParallelFor(
         pool, combos.size(),
         [&](size_t i) {
           DatabaseSolution solution = build(combos[i]);
-          EvalResult ev;
-          if (delta_base.has_value()) {
-            ev = delta_eval->EvaluateCandidate(
-                solution, DeltaEvaluator::DiffTables(*delta_base, solution));
-          } else if (flat != nullptr) {
-            ev = Evaluate(*db_, solution, *flat, nullptr, options_.scan_kernel);
-          } else {
-            ev = Evaluate(*db_, solution, train);
-          }
-          costs[i] = cost_model.Cost(ev);
+          costs[i] = cost_model.Cost(delta_eval.EvaluateCandidate(
+              solution, DeltaEvaluator::DiffTables(delta_base, solution)));
         },
         "combiner.score");
     for (size_t i = 0; i < combos.size(); ++i) {

@@ -26,16 +26,6 @@ struct CombinerOptions {
   /// cost (fraction of distributed transactions). The conclusion's richer
   /// models (SitesTouchedCost, WeightedRuntimeCost) plug in here.
   std::shared_ptr<const CostModel> cost_model;
-  /// Score combinations incrementally (delta_evaluator.h): rebase once per
-  /// candidate attribute on the first enumerated combination, then score
-  /// every other combination by rescanning only the transactions touching
-  /// tables whose partitioner differs. Requires the columnar trace (`flat`);
-  /// EvalResults are bit-identical to full evaluation, so the chosen
-  /// solution, cost, and report never change.
-  bool delta = true;
-  /// Partition-scan kernel for combination scoring (every kernel is
-  /// bit-identical to kScalar; see partition_scan.h).
-  ScanKernel scan_kernel = ScanKernel::kAuto;
   /// Re-proves the delta == full identity on every scored combination
   /// (aborts on divergence). For tests; defeats the speedup.
   bool delta_self_check = false;
@@ -59,14 +49,17 @@ class Combiner {
       : db_(db), lattice_(lattice), options_(options) {}
 
   /// Runs Phase 3. `train` is the global training trace (all classes).
-  /// With a pool, the enumerated combinations of each candidate attribute
-  /// are scored concurrently (one serial Evaluate per combination) and
-  /// reduced in enumeration order, so the chosen solution, cost, and
-  /// report counters are bit-identical to the serial path.
+  /// Combinations are scored by delta evaluation (delta_evaluator.h): the
+  /// evaluator rebases once per candidate attribute on the first enumerated
+  /// combination, then scores every other combination by rescanning only
+  /// the transactions touching tables whose partitioner differs — results
+  /// bit-identical to a full Evaluate. With a pool, the combinations of each
+  /// candidate attribute are scored concurrently and reduced in enumeration
+  /// order, so the chosen solution, cost, and report counters are
+  /// bit-identical to the serial path.
   ///
-  /// When `flat` is non-null it must be the columnar image of `train`;
-  /// combination scoring then uses the resolve-once columnar evaluator
-  /// (identical EvalResults, so the chosen solution does not change).
+  /// `flat` is the columnar image of `train` when the caller already has
+  /// one; when null, Combine flattens `train` itself.
   Result<DatabaseSolution> Combine(const std::vector<ClassPartitioningResult>& classes,
                                    const Trace& train, CombinerReport* report,
                                    ThreadPool* pool = nullptr,

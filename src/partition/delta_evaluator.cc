@@ -48,8 +48,8 @@ class DeltaEvaluator::ScratchLease {
 };
 
 DeltaEvaluator::DeltaEvaluator(const Database* db, const FlatTrace* trace,
-                               ThreadPool* pool, ScanKernel kernel)
-    : db_(db), trace_(trace), pool_(pool), kernel_(kernel) {
+                               ThreadPool* pool)
+    : db_(db), trace_(trace), pool_(pool) {
   const size_t nt = trace_->num_tuples();
   num_tables_ = db_->schema().tables().size();
   for (uint32_t i = 0; i < nt; ++i) {
@@ -90,7 +90,7 @@ const EvalResult& DeltaEvaluator::Rebase(const DatabaseSolution& base) {
   base_.emplace(base);
   base_part_ = ResolvePartitions(*db_, base, *trace_, pool_);
   base_result_ = EvaluateWithPartitions(TraceView(trace_), base_part_,
-                                        base.num_partitions(), pool_, kernel_);
+                                        base.num_partitions(), pool_);
   base_table_.clear();
   base_table_.reserve(num_tables_);
   for (size_t t = 0; t < num_tables_; ++t) {
@@ -112,8 +112,7 @@ const EvalResult& DeltaEvaluator::TableBaseResult(size_t table) const {
     const auto& txns = table_txns_[table];
     entry.result = ScanPartitionRange(
         TraceView::FromSelection(trace_, txns), base_part_,
-        trace_->num_classes(), base_->num_partitions(), 0, txns->size(),
-        kernel_);
+        trace_->num_classes(), base_->num_partitions(), 0, txns->size());
     entry.ready = true;
   }
   return entry.result;
@@ -125,7 +124,7 @@ EvalResult DeltaEvaluator::EvaluateCandidate(
   if (!base_.has_value() ||
       candidate.num_partitions() != base_->num_partitions()) {
     // No base (or an incomparable one): fall back to the full evaluator.
-    return Evaluate(*db_, candidate, *trace_, pool_, kernel_);
+    return Evaluate(*db_, candidate, *trace_, pool_);
   }
 
   // Normalize: sorted, deduplicated, and restricted to tables the trace
@@ -173,8 +172,7 @@ EvalResult DeltaEvaluator::EvaluateCandidate(
       sel = std::make_shared<const std::vector<uint32_t>>(std::move(merged));
       base_sub = ScanPartitionRange(TraceView::FromSelection(trace_, sel),
                                     base_part_, trace_->num_classes(),
-                                    base_->num_partitions(), 0, sel->size(),
-                                    kernel_);
+                                    base_->num_partitions(), 0, sel->size());
     }
 
     JECB_SPAN2("eval", "delta.candidate", "affected",
@@ -203,8 +201,7 @@ EvalResult DeltaEvaluator::EvaluateCandidate(
       }
       EvalResult cand_sub = ScanPartitionRange(
           TraceView::FromSelection(trace_, sel), scratch.part,
-          trace_->num_classes(), base_->num_partitions(), 0, sel->size(),
-          kernel_);
+          trace_->num_classes(), base_->num_partitions(), 0, sel->size());
       for (TableId t : changed) {
         for (uint32_t idx : table_tuples_[t]) {
           scratch.part[idx] = base_part_[idx];
@@ -220,7 +217,7 @@ EvalResult DeltaEvaluator::EvaluateCandidate(
   if (self_check_) {
     // The contract, asserted: the delta result must be bit-identical to a
     // full serial re-evaluation of the candidate.
-    EvalResult full = Evaluate(*db_, candidate, *trace_, nullptr, kernel_);
+    EvalResult full = Evaluate(*db_, candidate, *trace_);
     if (!(full == out)) {
       std::fprintf(stderr,
                    "FATAL: delta evaluation diverged from full Evaluate "

@@ -179,15 +179,68 @@ std::vector<int32_t> ResolvePartitions(const Database& db,
   return part;
 }
 
+EvalResult ScanPartitionRange(const TraceView& view, std::span<const int32_t> part,
+                              size_t num_classes, int32_t num_partitions,
+                              size_t begin, size_t end) {
+  EvalResult out;
+  out.class_total.assign(num_classes, 0);
+  out.class_distributed.assign(num_classes, 0);
+  out.partition_load.assign(std::max(num_partitions, 1), 0);
+
+  const FlatTrace& trace = view.trace();
+  // Distinct non-replicated partitions of the current transaction: the
+  // first 8 inline, the rare >8 tail in `spill` — the structure of
+  // IsDistributed, so heavy broadcast transactions stay exact.
+  int32_t parts[8];
+  std::vector<int32_t> spill;
+  for (size_t i = begin; i < end; ++i) {
+    const uint32_t txn = view.txn(i);
+    size_t nparts = 0;
+    bool writes_replicated = false;
+    spill.clear();
+    for (const PackedAccess a : trace.accesses(txn)) {
+      const int32_t p = part[a.tuple_index()];
+      if (p == kReplicated) {
+        if (a.write()) writes_replicated = true;
+        continue;  // replicated reads are local everywhere
+      }
+      if (std::find(parts, parts + nparts, p) != parts + nparts ||
+          std::find(spill.begin(), spill.end(), p) != spill.end()) {
+        continue;
+      }
+      if (nparts < std::size(parts)) {
+        parts[nparts++] = p;
+      } else {
+        spill.push_back(p);
+      }
+    }
+    const size_t distinct = nparts + spill.size();
+    const uint32_t cls = trace.class_of(txn);
+    ++out.total_txns;
+    ++out.class_total[cls];
+    if (writes_replicated || distinct > 1) {
+      ++out.distributed_txns;
+      ++out.class_distributed[cls];
+      out.partitions_touched += distinct;
+    }
+    auto count_load = [&](int32_t p) {
+      if (p >= 0 && p < static_cast<int32_t>(out.partition_load.size())) {
+        ++out.partition_load[p];
+      }
+    };
+    for (size_t j = 0; j < nparts; ++j) count_load(parts[j]);
+    for (int32_t p : spill) count_load(p);
+  }
+  return out;
+}
+
 EvalResult EvaluateWithPartitions(const TraceView& view,
                                   std::span<const int32_t> part,
-                                  int32_t num_partitions, ThreadPool* pool,
-                                  ScanKernel kernel) {
+                                  int32_t num_partitions, ThreadPool* pool) {
   const size_t n = view.size();
   const size_t num_classes = view.trace().num_classes();
   if (pool == nullptr || pool->num_threads() <= 1 || n < 2) {
-    return ScanPartitionRange(view, part, num_classes, num_partitions, 0, n,
-                              kernel);
+    return ScanPartitionRange(view, part, num_classes, num_partitions, 0, n);
   }
 
   // Chunked exactly like the Trace overload: same chunk count, same
@@ -202,7 +255,7 @@ EvalResult EvaluateWithPartitions(const TraceView& view,
         size_t begin = c * chunk_size;
         size_t end = std::min(n, begin + chunk_size);
         partial[c] = ScanPartitionRange(view, part, num_classes, num_partitions,
-                                        begin, end, kernel);
+                                        begin, end);
       },
       "eval.chunks");
 
@@ -215,18 +268,17 @@ EvalResult EvaluateWithPartitions(const TraceView& view,
 }
 
 EvalResult Evaluate(const Database& db, const DatabaseSolution& solution,
-                    const TraceView& view, ThreadPool* pool, ScanKernel kernel) {
+                    const TraceView& view, ThreadPool* pool) {
   const size_t n = view.size();
   JECB_SPAN1("eval", "evaluate.flat", "txns", static_cast<int64_t>(n));
   const std::vector<int32_t> part =
       ResolvePartitions(db, solution, view.trace(), pool);
-  return EvaluateWithPartitions(view, part, solution.num_partitions(), pool,
-                                kernel);
+  return EvaluateWithPartitions(view, part, solution.num_partitions(), pool);
 }
 
 EvalResult Evaluate(const Database& db, const DatabaseSolution& solution,
-                    const FlatTrace& trace, ThreadPool* pool, ScanKernel kernel) {
-  return Evaluate(db, solution, TraceView(&trace), pool, kernel);
+                    const FlatTrace& trace, ThreadPool* pool) {
+  return Evaluate(db, solution, TraceView(&trace), pool);
 }
 
 EvalResult Evaluate(const Database& db, const DatabaseSolution& solution,

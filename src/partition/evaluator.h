@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "partition/partition_scan.h"
 #include "partition/solution.h"
 #include "trace/flat_trace.h"
 #include "trace/trace.h"
@@ -69,7 +68,7 @@ struct EvalResult {
   void Subtract(const EvalResult& other);
 
   /// Bit-exact comparison — every field is an integer, so "equal" is
-  /// well-defined and is the identity the delta/SIMD paths are held to.
+  /// well-defined and is the identity the delta path is held to.
   bool operator==(const EvalResult&) const = default;
 };
 
@@ -107,19 +106,16 @@ EvalResult Evaluate(const Database& db, const DatabaseSolution& solution,
 /// as a branch-light scan over the SoA access arrays — chunked and merged
 /// exactly like the Trace overload. Because PartitionOf is a pure function
 /// of the tuple, every EvalResult field is bit-identical to the row-oriented
-/// path at any thread count. `kernel` picks the partition-scan kernel
-/// (partition_scan.h); every kernel is bit-identical to kScalar.
+/// path at any thread count.
 EvalResult Evaluate(const Database& db, const DatabaseSolution& solution,
-                    const FlatTrace& trace, ThreadPool* pool = nullptr,
-                    ScanKernel kernel = ScanKernel::kAuto);
+                    const FlatTrace& trace, ThreadPool* pool = nullptr);
 
 /// Same, over a zero-copy view. The resolve pass covers the underlying
 /// trace's whole dictionary (results only depend on the tuples the view
 /// touches, so this is exact; it only does extra resolution work when the
 /// view is much smaller than its trace).
 EvalResult Evaluate(const Database& db, const DatabaseSolution& solution,
-                    const TraceView& view, ThreadPool* pool = nullptr,
-                    ScanKernel kernel = ScanKernel::kAuto);
+                    const TraceView& view, ThreadPool* pool = nullptr);
 
 /// The resolve pass of the columnar evaluator, exposed for callers that
 /// reuse the array across many scans (the delta evaluator): PartitionOf of
@@ -135,11 +131,20 @@ std::vector<int32_t> ResolvePartitions(const Database& db,
 /// partition array (`part` must cover the view's whole dictionary):
 /// chunked into the same contiguous ranges and merged in the same chunk
 /// order as Evaluate, so Evaluate(view) == EvaluateWithPartitions(view,
-/// ResolvePartitions(...)) bit for bit at any thread count and kernel.
+/// ResolvePartitions(...)) bit for bit at any thread count.
 EvalResult EvaluateWithPartitions(const TraceView& view,
                                   std::span<const int32_t> part,
                                   int32_t num_partitions,
-                                  ThreadPool* pool = nullptr,
-                                  ScanKernel kernel = ScanKernel::kAuto);
+                                  ThreadPool* pool = nullptr);
+
+/// Serial scan of the view's half-open position range [begin, end) against
+/// an externally resolved partition array (`part`, indexed by
+/// PackedAccess::tuple_index(), covering the view's whole dictionary): the
+/// Definition 5/6 accounting of exactly those transactions, the same
+/// accounting the row-oriented evaluator performs. Thread-safe (read-only
+/// inputs, per-call scratch).
+EvalResult ScanPartitionRange(const TraceView& view, std::span<const int32_t> part,
+                              size_t num_classes, int32_t num_partitions,
+                              size_t begin, size_t end);
 
 }  // namespace jecb

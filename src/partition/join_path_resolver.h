@@ -168,12 +168,10 @@ class FkRowCache {
 /// every tree/metric that asks for the same path.
 class JoinPathResolver {
  public:
-  /// `hop_cache` additionally memoizes each foreign-key edge once per
-  /// resolver (exact: hops are pure), so paths sharing hops share the row
-  /// walk. Off reproduces the per-path JoinPath::Evaluate resolution of the
-  /// pre-incremental pipeline.
-  explicit JoinPathResolver(const Database* db, bool hop_cache = true)
-      : db_(db), hop_cache_(hop_cache) {}
+  /// Besides the per-path caches, the resolver memoizes each foreign-key
+  /// edge once (exact: hops are pure), so paths sharing hops share the row
+  /// walk.
+  explicit JoinPathResolver(const Database* db) : db_(db) {}
 
   /// Flushes the FK-hop memo tallies once per resolver lifetime (one class
   /// partitioning), so the hot loop pays two local increments, never a
@@ -199,27 +197,19 @@ class JoinPathResolver {
     const Value* Resolve(RowId row) {
       const Value* v = nullptr;
       if (cache_.Find(row, &v)) return v;
-      if (resolver_->hop_cache_) {
-        // Same walk as JoinPath::Evaluate, but each hop goes through the
-        // resolver's per-FK edge memo. A path fails exactly when a hop
-        // dangles, so the memoized walk fails on exactly the same rows.
-        RowId cur = row;
-        for (FkIdx idx : path_.hops) {
-          cur = resolver_->FollowCached(idx, cur);
-          if (cur == FkRowCache::kDangling) {
-            cache_.InsertFailure(row);
-            return nullptr;
-          }
+      // Same walk as JoinPath::Evaluate, but each hop goes through the
+      // resolver's per-FK edge memo. A path fails exactly when a hop
+      // dangles, so the memoized walk fails on exactly the same rows.
+      RowId cur = row;
+      for (FkIdx idx : path_.hops) {
+        cur = resolver_->FollowCached(idx, cur);
+        if (cur == FkRowCache::kDangling) {
+          cache_.InsertFailure(row);
+          return nullptr;
         }
-        return cache_.Insert(
-            row, db_->GetValue({path_.dest.table, cur}, path_.dest.column));
       }
-      Result<Value> r = path_.Evaluate(*db_, {path_.source_table, row});
-      if (!r.ok()) {
-        cache_.InsertFailure(row);
-        return nullptr;
-      }
-      return cache_.Insert(row, std::move(r).value());
+      return cache_.Insert(
+          row, db_->GetValue({path_.dest.table, cur}, path_.dest.column));
     }
 
     const JoinPath& path() const { return path_; }
@@ -278,7 +268,6 @@ class JoinPathResolver {
   }
 
   const Database* db_;
-  const bool hop_cache_;
   std::vector<uint64_t> sigs_;
   std::vector<std::unique_ptr<PathCache>> caches_;
   std::vector<FkRowCache> fk_caches_;  // indexed by FkIdx, built on demand

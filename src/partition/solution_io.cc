@@ -1,6 +1,8 @@
 #include "partition/solution_io.h"
 
+#include <charconv>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -8,6 +10,17 @@
 namespace jecb {
 
 namespace {
+
+/// Parses the whole of `token` as a T. nullopt when the token is empty, has
+/// trailing bytes, or holds a value T cannot represent.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view token) {
+  T value{};
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
 
 std::string EncodeValue(const Value& v) {
   if (v.is_int()) return "i:" + std::to_string(v.AsInt());
@@ -29,10 +42,16 @@ Result<Value> DecodeValue(const std::string& token) {
   }
   std::string payload = token.substr(2);
   switch (token[0]) {
-    case 'i':
-      return Value(static_cast<int64_t>(std::strtoll(payload.c_str(), nullptr, 10)));
-    case 'd':
-      return Value(std::strtod(payload.c_str(), nullptr));
+    case 'i': {
+      std::optional<int64_t> v = ParseNumber<int64_t>(payload);
+      if (!v) return Status::ParseError("bad integer value '" + token + "'");
+      return Value(*v);
+    }
+    case 'd': {
+      std::optional<double> v = ParseNumber<double>(payload);
+      if (!v) return Status::ParseError("bad double value '" + token + "'");
+      return Value(*v);
+    }
     case 's': {
       std::string out;
       for (size_t i = 0; i < payload.size(); ++i) {
@@ -112,54 +131,46 @@ Status SaveSolution(const std::string& path, const Schema& schema,
 
 Result<DatabaseSolution> SolutionFromString(const std::string& text,
                                             const Schema& schema) {
-  std::istringstream stream(text);
-  std::string line;
-  int line_no = 0;
   int32_t k = -1;
   std::unique_ptr<DatabaseSolution> solution;
 
-  auto parse_error = [&](const std::string& why) {
-    return Status::ParseError(why + " at line " + std::to_string(line_no));
-  };
-
-  while (std::getline(stream, line)) {
-    ++line_no;
-    std::string_view trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    std::vector<std::string> tokens;
-    for (const std::string& tok : Split(std::string(trimmed), ' ')) {
-      if (!tok.empty()) tokens.push_back(tok);
-    }
+  // One record; any failure (a malformed field or a name the schema does
+  // not know) is reported as a ParseError with the line number below.
+  auto parse_record = [&](const std::vector<std::string>& tokens) -> Status {
     if (tokens[0] == "K") {
-      if (tokens.size() != 2) return parse_error("K needs a partition count");
-      k = std::atoi(tokens[1].c_str());
-      if (k <= 0) return parse_error("bad partition count");
+      if (tokens.size() != 2) return Status::ParseError("K needs a partition count");
+      std::optional<int32_t> parsed = ParseNumber<int32_t>(tokens[1]);
+      if (!parsed || *parsed <= 0) return Status::ParseError("bad partition count");
+      k = *parsed;
       solution = std::make_unique<DatabaseSolution>(k, schema.num_tables());
       auto replicated = std::make_shared<ReplicatedTable>();
       for (size_t t = 0; t < schema.num_tables(); ++t) {
         solution->Set(static_cast<TableId>(t), replicated);
       }
-      continue;
+      return Status::OK();
     }
-    if (solution == nullptr) return parse_error("K line must come first");
+    if (solution == nullptr) return Status::ParseError("K line must come first");
     if (tokens[0] == "REPLICATE") {
-      if (tokens.size() != 2) return parse_error("REPLICATE needs a table");
+      if (tokens.size() != 2) return Status::ParseError("REPLICATE needs a table");
       JECB_ASSIGN_OR_RETURN(TableId tid, schema.FindTable(tokens[1]));
       solution->Set(tid, std::make_shared<ReplicatedTable>());
-      continue;
+      return Status::OK();
     }
-    if (tokens[0] != "PATH") return parse_error("unknown record '" + tokens[0] + "'");
-    if (tokens.size() < 4) return parse_error("truncated PATH record");
+    if (tokens[0] != "PATH") {
+      return Status::ParseError("unknown record '" + tokens[0] + "'");
+    }
+    if (tokens.size() < 4) return Status::ParseError("truncated PATH record");
 
     JECB_ASSIGN_OR_RETURN(TableId source, schema.FindTable(tokens[1]));
-    int hops = std::atoi(tokens[2].c_str());
-    if (hops < 0 || tokens.size() < 4 + 2 * static_cast<size_t>(hops)) {
-      return parse_error("truncated hop list");
+    std::optional<int32_t> hops = ParseNumber<int32_t>(tokens[2]);
+    if (!hops || *hops < 0) return Status::ParseError("bad hop count");
+    if (tokens.size() < 4 + 2 * static_cast<size_t>(*hops)) {
+      return Status::ParseError("truncated hop list");
     }
     JoinPath path;
     path.source_table = source;
     size_t pos = 3;
-    for (int h = 0; h < hops; ++h) {
+    for (int32_t h = 0; h < *hops; ++h) {
       JECB_ASSIGN_OR_RETURN(TableId child, schema.FindTable(tokens[pos]));
       std::vector<ColumnIdx> cols;
       for (const std::string& col : Split(tokens[pos + 1], ',')) {
@@ -176,43 +187,67 @@ Result<DatabaseSolution> SolutionFromString(const std::string& text,
           break;
         }
       }
-      if (!found) return parse_error("no foreign key matches hop " + tokens[pos]);
+      if (!found) {
+        return Status::ParseError("no foreign key matches hop " + tokens[pos]);
+      }
       pos += 2;
     }
     JECB_ASSIGN_OR_RETURN(path.dest, schema.ResolveQualified(tokens[pos]));
     ++pos;
     JECB_RETURN_NOT_OK(path.Validate(schema));
 
-    if (pos >= tokens.size()) return parse_error("missing mapping");
+    if (pos >= tokens.size()) return Status::ParseError("missing mapping");
     std::shared_ptr<const MappingFunction> mapping;
     if (tokens[pos] == "hash") {
       mapping = std::make_shared<HashMapping>(k);
     } else if (tokens[pos] == "range") {
-      if (pos + 2 >= tokens.size()) return parse_error("range needs lo and hi");
-      int64_t lo = std::strtoll(tokens[pos + 1].c_str(), nullptr, 10);
-      int64_t hi = std::strtoll(tokens[pos + 2].c_str(), nullptr, 10);
-      if (hi < lo) return parse_error("range hi < lo");
-      mapping = std::make_shared<RangeMapping>(k, lo, hi);
+      if (pos + 2 >= tokens.size()) return Status::ParseError("range needs lo and hi");
+      std::optional<int64_t> lo = ParseNumber<int64_t>(tokens[pos + 1]);
+      std::optional<int64_t> hi = ParseNumber<int64_t>(tokens[pos + 2]);
+      if (!lo || !hi) return Status::ParseError("bad range bound");
+      if (*hi < *lo) return Status::ParseError("range hi < lo");
+      mapping = std::make_shared<RangeMapping>(k, *lo, *hi);
     } else if (tokens[pos] == "lookup") {
-      if (pos + 1 >= tokens.size()) return parse_error("lookup needs a size");
-      int n = std::atoi(tokens[pos + 1].c_str());
-      if (n < 0 || tokens.size() < pos + 2 + 2 * static_cast<size_t>(n)) {
-        return parse_error("truncated lookup table");
+      if (pos + 1 >= tokens.size()) return Status::ParseError("lookup needs a size");
+      std::optional<int32_t> n = ParseNumber<int32_t>(tokens[pos + 1]);
+      if (!n || *n < 0) return Status::ParseError("bad lookup size");
+      if (tokens.size() < pos + 2 + 2 * static_cast<size_t>(*n)) {
+        return Status::ParseError("truncated lookup table");
       }
       std::unordered_map<Value, int32_t, ValueHashFunctor> table;
       size_t vpos = pos + 2;
-      for (int i = 0; i < n; ++i) {
+      for (int32_t i = 0; i < *n; ++i) {
         JECB_ASSIGN_OR_RETURN(Value v, DecodeValue(tokens[vpos]));
-        int32_t part = std::atoi(tokens[vpos + 1].c_str());
-        if (part < 0 || part >= k) return parse_error("lookup partition out of range");
-        table.emplace(std::move(v), part);
+        std::optional<int32_t> part = ParseNumber<int32_t>(tokens[vpos + 1]);
+        if (!part || *part < 0 || *part >= k) {
+          return Status::ParseError("lookup partition out of range");
+        }
+        table.emplace(std::move(v), *part);
         vpos += 2;
       }
       mapping = std::make_shared<LookupMapping>(k, std::move(table));
     } else {
-      return parse_error("unknown mapping '" + tokens[pos] + "'");
+      return Status::ParseError("unknown mapping '" + tokens[pos] + "'");
     }
     solution->Set(source, std::make_shared<JoinPathPartitioner>(path, mapping));
+    return Status::OK();
+  };
+
+  std::istringstream stream(text);
+  std::string line;
+  int line_no = 0;
+  while (std::getline(stream, line)) {
+    ++line_no;
+    std::string_view trimmed = Trim(line);
+    if (trimmed.empty() || trimmed[0] == '#') continue;
+    std::vector<std::string> tokens;
+    for (const std::string& tok : Split(std::string(trimmed), ' ')) {
+      if (!tok.empty()) tokens.push_back(tok);
+    }
+    Status st = parse_record(tokens);
+    if (!st.ok()) {
+      return Status::ParseError(st.message() + " at line " + std::to_string(line_no));
+    }
   }
   if (solution == nullptr) return Status::ParseError("empty solution file");
   return std::move(*solution);

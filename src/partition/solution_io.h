@@ -33,7 +33,9 @@ Status SaveSolution(const std::string& path, const Schema& schema,
                     const DatabaseSolution& solution);
 
 /// Parses a solution against `schema`; join-path hops are re-resolved by
-/// child table + child columns.
+/// child table + child columns. Numbers must fill their whole token and fit
+/// their type. Any bad record — a malformed field, a name `schema` lacks,
+/// or an invalid path — fails with kParseError naming the line.
 Result<DatabaseSolution> SolutionFromString(const std::string& text,
                                             const Schema& schema);
 

@@ -1,12 +1,24 @@
 #include <gtest/gtest.h>
 
 #include "jecb/class_partitioner.h"
+#include "partition/join_path_resolver.h"
 #include "sql/analyzer.h"
 #include "sql/parser.h"
 #include "test_util.h"
+#include "trace/flat_trace.h"
 
 namespace jecb {
 namespace {
+
+/// What Jecb::Partition hands Phase 2 for one class: the trace flattened
+/// once, a view of it, and a fresh join-path resolver.
+struct FlatInput {
+  FlatInput(const Database* db, const Trace& trace)
+      : flat(FlatTrace::FromTrace(trace)), view(&flat), resolver(db) {}
+  FlatTrace flat;
+  TraceView view;
+  JoinPathResolver resolver;
+};
 
 class ClassPartitionerTest : public ::testing::Test {
  protected:
@@ -23,6 +35,7 @@ class ClassPartitionerTest : public ::testing::Test {
 
   ClassPartitioner MakePartitioner(ClassPartitionerOptions opt = {}) {
     opt.num_partitions = 2;
+    opt.delta_self_check = true;  // every memoized fit re-measured
     return ClassPartitioner(fixture_.db.get(), lattice_.get(), opt);
   }
 
@@ -35,8 +48,9 @@ class ClassPartitionerTest : public ::testing::Test {
 };
 
 TEST_F(ClassPartitionerTest, CustInfoIsMappingIndependentOnCaCid) {
-  Trace trace = testing::MakeCustInfoTrace(fixture_);
-  auto result = MakePartitioner().Partition(graph_, trace, "CustInfo", 0, 1.0);
+  FlatInput in(fixture_.db.get(), testing::MakeCustInfoTrace(fixture_));
+  auto result =
+      MakePartitioner().Partition(graph_, in.view, &in.resolver, "CustInfo", 0, 1.0);
   ASSERT_EQ(result.total_solutions.size(), 1u);
   const ClassSolution& sol = result.total_solutions[0];
   EXPECT_EQ(sol.tier, SolutionTier::kMappingIndependent);
@@ -57,14 +71,15 @@ TEST_F(ClassPartitionerTest, MeasureTreeFitDetectsViolations) {
   ca.dest = tree.root;
   tree.paths[ca.source_table] = ca;
   Trace trace = testing::MakeCustInfoTrace(fixture_);
-  TreeFit fit = MeasureTreeFit(*fixture_.db, tree, trace);
+  FlatInput in(fixture_.db.get(), trace);
+  TreeFit fit = MeasureTreeFit(*fixture_.db, tree, in.view, &in.resolver);
   EXPECT_EQ(fit.txns, trace.size());
   EXPECT_EQ(fit.violations, trace.size());
 
   // Rooted at CA_C_ID instead: no violations.
   tree.root = Ref("CUSTOMER_ACCOUNT.CA_C_ID");
   tree.paths[ca.source_table].dest = tree.root;
-  fit = MeasureTreeFit(*fixture_.db, tree, trace);
+  fit = MeasureTreeFit(*fixture_.db, tree, in.view, &in.resolver);
   EXPECT_EQ(fit.violations, 0u);
 }
 
@@ -77,7 +92,9 @@ TEST_F(ClassPartitionerTest, QuasiTierAcceptsSmallViolationFraction) {
   }
   ClassPartitionerOptions opt;
   opt.quasi_tolerance = 0.25;
-  auto result = MakePartitioner(opt).Partition(graph_, trace, "CustInfo", 0, 1.0);
+  FlatInput in(fixture_.db.get(), trace);
+  auto result =
+      MakePartitioner(opt).Partition(graph_, in.view, &in.resolver, "CustInfo", 0, 1.0);
   ASSERT_EQ(result.total_solutions.size(), 1u);
   EXPECT_EQ(result.total_solutions[0].tier, SolutionTier::kQuasiIndependent);
   EXPECT_GT(result.total_solutions[0].violation_fraction, 0.0);
@@ -93,7 +110,9 @@ TEST_F(ClassPartitionerTest, StrictModeRejectsViolations) {
   ClassPartitionerOptions opt;
   opt.quasi_tolerance = 0.0;
   opt.enable_stats_fallback = false;
-  auto result = MakePartitioner(opt).Partition(graph_, trace, "CustInfo", 0, 1.0);
+  FlatInput in(fixture_.db.get(), trace);
+  auto result =
+      MakePartitioner(opt).Partition(graph_, in.view, &in.resolver, "CustInfo", 0, 1.0);
   EXPECT_TRUE(result.total_solutions.empty());
   EXPECT_FALSE(result.partitionable());
 }
@@ -132,7 +151,8 @@ TEST(StatsFallbackTest, LearnsHiddenClusters) {
   graph.tables = {rows};
   graph.partitioned_tables = {rows};
   graph.candidate_attrs = {ColumnRef{rows, 0}};
-  auto result = partitioner.Partition(graph, trace, "Paired", 0, 1.0);
+  FlatInput in(&db, trace);
+  auto result = partitioner.Partition(graph, in.view, &in.resolver, "Paired", 0, 1.0);
   ASSERT_EQ(result.total_solutions.size(), 1u);
   const ClassSolution& sol = result.total_solutions[0];
   EXPECT_EQ(sol.tier, SolutionTier::kStatistics);
@@ -155,8 +175,9 @@ TEST_F(ClassPartitionerTest, PartialSolutionsFromSubsets) {
     if (schema().foreign_keys()[f].table != hs) kept.push_back(f);
   }
   g.active_fks = kept;
-  Trace trace = testing::MakeCustInfoTrace(fixture_);
-  auto result = MakePartitioner().Partition(g, trace, "CustInfo", 0, 1.0);
+  FlatInput in(fixture_.db.get(), testing::MakeCustInfoTrace(fixture_));
+  auto result =
+      MakePartitioner().Partition(g, in.view, &in.resolver, "CustInfo", 0, 1.0);
   EXPECT_TRUE(result.total_solutions.empty());
   ASSERT_GE(result.partial_solutions.size(), 2u);
   for (const auto& p : result.partial_solutions) {
@@ -168,8 +189,8 @@ TEST_F(ClassPartitionerTest, ReadOnlyClassFlagged) {
   JoinGraph empty;
   TableId cust = schema().FindTable("CUSTOMER").value();
   empty.tables = {cust};
-  Trace trace = testing::MakeCustInfoTrace(fixture_);
-  auto result = MakePartitioner().Partition(empty, trace, "RO", 0, 1.0);
+  FlatInput in(fixture_.db.get(), testing::MakeCustInfoTrace(fixture_));
+  auto result = MakePartitioner().Partition(empty, in.view, &in.resolver, "RO", 0, 1.0);
   EXPECT_TRUE(result.read_only);
   EXPECT_FALSE(result.partitionable());
 }
@@ -188,8 +209,9 @@ TEST_F(ClassPartitionerTest, CoarserTreeEliminated) {
   }
   g.tables.insert(schema().FindTable("CUSTOMER").value());
   g.candidate_attrs.insert(Ref("CUSTOMER.C_TAX_ID"));
-  Trace trace = testing::MakeCustInfoTrace(fixture_);
-  auto result = MakePartitioner().Partition(g, trace, "CustInfo", 0, 1.0);
+  FlatInput in(fixture_.db.get(), testing::MakeCustInfoTrace(fixture_));
+  auto result =
+      MakePartitioner().Partition(g, in.view, &in.resolver, "CustInfo", 0, 1.0);
   ASSERT_EQ(result.total_solutions.size(), 1u);
   // The surviving root must NOT be the coarser C_TAX_ID.
   EXPECT_FALSE(result.total_solutions[0].tree.root == Ref("CUSTOMER.C_TAX_ID"));

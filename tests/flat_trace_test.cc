@@ -1,8 +1,8 @@
-// Parity contract of the columnar pipeline: FlatTrace/TraceView must mirror
+// Parity contract of the columnar layout: FlatTrace/TraceView must mirror
 // the row-oriented Trace helpers exactly, the resolve-once Evaluate must be
-// bit-identical to the legacy evaluator at every thread count, the shared
-// JoinPathResolver must return the same values as direct path evaluation,
-// and Jecb::Partition must produce the same solution with columnar on/off.
+// bit-identical to the row-oriented Evaluate(Trace) oracle at every thread
+// count, and the shared JoinPathResolver must return the same values as
+// direct path evaluation.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "jecb/jecb.h"
 #include "partition/evaluator.h"
 #include "partition/join_path_resolver.h"
 #include "test_util.h"
@@ -229,57 +228,6 @@ TEST(FlatEvaluateTest, TatpParityAcrossThreadCounts) {
 
 TEST(FlatEvaluateTest, SyntheticParityAcrossThreadCounts) {
   CheckEvaluateParity(SyntheticWorkload().Make(5000, 13));
-}
-
-// ---- End-to-end -----------------------------------------------------------
-
-TEST(JecbColumnarTest, ColumnarAndLegacyPipelinesChooseIdenticalSolutions) {
-  TpccConfig cfg;
-  cfg.warehouses = 4;
-  cfg.districts_per_warehouse = 2;
-  cfg.customers_per_district = 6;
-  cfg.items = 30;
-  cfg.initial_orders_per_district = 2;
-  WorkloadBundle bundle = TpccWorkload(cfg).Make(4000, 7);
-
-  struct Run {
-    std::string tables;
-    std::string chosen_attr;
-    uint64_t evaluated = 0;
-    double best_train_cost = 0.0;
-    std::vector<size_t> class_shapes;
-  };
-  auto run_with = [&](bool columnar, int32_t threads) {
-    JecbOptions opt;
-    opt.num_partitions = 8;
-    opt.num_threads = threads;
-    opt.columnar = columnar;
-    Result<JecbResult> res =
-        Jecb(opt).Partition(bundle.db.get(), bundle.procedures, bundle.trace);
-    EXPECT_TRUE(res.ok()) << res.status().ToString();
-    Run run;
-    run.tables = res.value().solution.Describe(bundle.db->schema());
-    run.chosen_attr = res.value().combiner_report.chosen_attr;
-    run.evaluated = res.value().combiner_report.evaluated_combinations;
-    run.best_train_cost = res.value().combiner_report.best_train_cost;
-    for (const auto& cls : res.value().classes) {
-      run.class_shapes.push_back(cls.total_solutions.size());
-      run.class_shapes.push_back(cls.partial_solutions.size());
-    }
-    return run;
-  };
-
-  Run legacy = run_with(false, 1);
-  EXPECT_FALSE(legacy.chosen_attr.empty());
-  for (int32_t threads : {1, 4, 8}) {
-    Run columnar = run_with(true, threads);
-    EXPECT_EQ(columnar.tables, legacy.tables) << "threads=" << threads;
-    EXPECT_EQ(columnar.chosen_attr, legacy.chosen_attr) << "threads=" << threads;
-    EXPECT_EQ(columnar.evaluated, legacy.evaluated) << "threads=" << threads;
-    EXPECT_EQ(columnar.best_train_cost, legacy.best_train_cost)
-        << "threads=" << threads;
-    EXPECT_EQ(columnar.class_shapes, legacy.class_shapes) << "threads=" << threads;
-  }
 }
 
 }  // namespace

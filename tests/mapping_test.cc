@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "partition/mapping.h"
 
@@ -24,24 +26,39 @@ TEST_P(MappingRangeTest, HashStaysInRangeAndIsDeterministic) {
   EXPECT_GE(m.Map(Value("some-symbol")), 0);
 }
 
+// [lo, hi] of a range mapping. Each test runs a small domain plus two wider
+// than INT64_MAX, where hi - lo does not fit in int64_t.
+using Domain = std::pair<int64_t, int64_t>;
+
 TEST_P(MappingRangeTest, RangeStaysInRange) {
   int32_t k = GetParam();
-  RangeMapping m(k, 0, 999);
-  for (int64_t v : {-10L, 0L, 1L, 500L, 999L, 5000L}) {
-    int32_t p = m.Map(Value(v));
-    EXPECT_GE(p, 0);
-    EXPECT_LT(p, k);
+  for (auto [lo, hi] :
+       {Domain{0, 999}, Domain{INT64_MIN, INT64_MAX}, Domain{-1, INT64_MAX}}) {
+    RangeMapping m(k, lo, hi);
+    for (int64_t v : {-10L, 0L, 1L, 500L, 999L, 5000L, INT64_MIN, INT64_MAX}) {
+      int32_t p = m.Map(Value(v));
+      EXPECT_GE(p, 0) << "[" << lo << ", " << hi << "] v=" << v;
+      EXPECT_LT(p, k) << "[" << lo << ", " << hi << "] v=" << v;
+    }
   }
 }
 
 TEST_P(MappingRangeTest, RangeIsMonotone) {
   int32_t k = GetParam();
-  RangeMapping m(k, 0, 9999);
-  int32_t prev = 0;
-  for (int64_t v = 0; v < 10000; v += 7) {
-    int32_t p = m.Map(Value(v));
-    EXPECT_GE(p, prev);
-    prev = p;
+  for (auto [lo, hi] :
+       {Domain{0, 9999}, Domain{INT64_MIN, INT64_MAX}, Domain{-1, INT64_MAX}}) {
+    RangeMapping m(k, lo, hi);
+    // 1,429 evenly spaced values from lo (every 7th value of [0, 9999]),
+    // stepped in uint64_t so the wide domains do not overflow.
+    const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    const uint64_t step = span / 1428;
+    int32_t prev = 0;
+    for (uint64_t i = 0; i <= 1428; ++i) {
+      const auto v = static_cast<int64_t>(static_cast<uint64_t>(lo) + i * step);
+      int32_t p = m.Map(Value(v));
+      EXPECT_GE(p, prev) << "[" << lo << ", " << hi << "] v=" << v;
+      prev = p;
+    }
   }
 }
 

@@ -26,8 +26,8 @@
 //               single row can swing ±30%, which is exactly why the benches
 //               export best-of-rows aggregates for gating instead.
 //
-// Everything else (raw seconds, hardware_concurrency, scan_kernel, ...) is
-// reported in the table but never fails the run.
+// Everything else (raw seconds, hardware_concurrency, the machine block,
+// ...) is reported in the table but never fails the run.
 //
 // --update copies the current files over the baselines (for refreshing them
 // deliberately after an intentional perf change) and exits 0.
