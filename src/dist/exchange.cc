@@ -15,7 +15,7 @@ std::vector<net::TupleBatchMsg> BuildTupleBatches(
     const std::vector<ExchangeEntry>& entries, uint32_t batch_bytes) {
   const uint32_t clamped = ClampExchangeBatchBytes(batch_bytes);
   std::vector<std::pair<size_t, size_t>> spans =
-      ExchangeBatchSpans(entries, 0, entries.size(), clamped);
+      ExchangeBatchSpans(entries, clamped);
   if (spans.empty()) spans.emplace_back(0, 0);  // empty stream: one terminator
   std::vector<net::TupleBatchMsg> batches;
   batches.reserve(spans.size());
@@ -30,7 +30,7 @@ std::vector<net::TupleBatchMsg> BuildTupleBatches(
     for (size_t i = spans[s].first; i < spans[s].second; ++i) {
       batch.entries.push_back({static_cast<uint32_t>(entries[i].tuple.table),
                                static_cast<uint64_t>(entries[i].tuple.row),
-                               entries[i].bytes});
+                               std::string(entries[i].bytes)});
     }
     batches.push_back(std::move(batch));
   }
@@ -85,9 +85,9 @@ void ExchangeNode::Run() {
       reads.push_back(TupleId{static_cast<TableId>(a.table),
                               static_cast<RowId>(a.row)});
     }
-    std::vector<ExchangeEntry> entries = MaterializeReads(sharded_, reads);
-    for (const net::TupleBatchMsg& batch : BuildTupleBatches(
-             req.txn_id, req.attempt, shard_id_, entries, batch_bytes_)) {
+    for (const net::TupleBatchMsg& batch :
+         BuildTupleBatches(req.txn_id, req.attempt, shard_id_,
+                           MaterializeReads(sharded_, reads), batch_bytes_)) {
       ++stats_.batches_sent;
       stats_.tuples_sent += batch.entries.size();
       for (const net::TupleBatchEntry& e : batch.entries) {

@@ -8,7 +8,7 @@
 // with kExchangeReq over a shard-to-shard FaultyChannel to the peer's data
 // listener, bypassing the coordinator entirely; the peer's node answers with
 // bounded kTupleBatch frames. The node thread only reads the immutable
-// copy-on-write Database snapshot and never blocks on the control plane, so
+// copy-on-write encoded-row store and never blocks on the control plane, so
 // data-plane waits can never join the 2PC wait-for graph — exchange adds no
 // deadlock edges to the ascending-shard-id argument.
 //
@@ -30,7 +30,7 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "runtime/exchange.h"
-#include "storage/database.h"
+#include "runtime/sharded_database.h"
 
 namespace jecb {
 
@@ -45,7 +45,7 @@ std::vector<net::TupleBatchMsg> BuildTupleBatches(
 
 /// The data-plane server of one shard: a poll loop on the shard's data
 /// listener, run on its own thread, answering kExchangeReq with kTupleBatch
-/// streams materialized from storage. Started after fork (the child is
+/// streams served from the encoded-row store. Started after fork (the child is
 /// single-threaded at fork; the thread is spawned afterwards, which keeps
 /// the fork sanitizer-clean).
 class ExchangeNode {
@@ -59,10 +59,8 @@ class ExchangeNode {
     net::EventLoopStats loop;
   };
 
-  /// Serves rows from `sharded` — through its arena-backed encoded-row
-  /// store when built (skipping the per-row encode on every pull), else by
-  /// encoding from the copy-on-write Database snapshot. Byte content is
-  /// identical either way.
+  /// Serves rows from `sharded`'s encoded-row store (inherited
+  /// copy-on-write at fork), so a pull never re-encodes a row.
   ExchangeNode(int32_t shard_id, const ShardedDatabase& sharded,
                uint32_t batch_bytes);
   ~ExchangeNode();

@@ -15,7 +15,6 @@
 #include "obs/trace_recorder.h"
 #include "partition/evaluator.h"
 #include "runtime/load_gen.h"
-#include "runtime/txn_coordinator.h"
 
 namespace jecb {
 
@@ -556,7 +555,9 @@ ReplayReport Replay(const Database& db, const DatabaseSolution& solution,
   TraceRecorder& rec = TraceRecorder::Default();
   // Phase A (single-threaded): resolve placements — this also warms the
   // solution's per-tuple memo caches so the parallel replay phase is pure
-  // cache hits — and materialize the shard layout.
+  // cache hits — and materialize the shard layout with its encoded-row
+  // store, here, before the transport forks, so shard-server children
+  // inherit both copy-on-write.
   std::vector<ClassifiedTxn> classified = ClassifyTrace(db, solution, trace);
   const uint64_t layout_ts = rec.enabled() ? rec.NowUs() : 0;
   ShardedDatabase sharded(db, solution);
@@ -565,12 +566,6 @@ ReplayReport Replay(const Database& db, const DatabaseSolution& solution,
              rec.NowUs() - layout_ts, "shards",
              static_cast<int64_t>(sharded.num_shards()));
   }
-
-  // Arena-backed encoded-row store: built single-threaded, BEFORE the
-  // transport forks, so shard-server children inherit it copy-on-write and
-  // every backend serves exchange reads from the same arena pages instead
-  // of re-encoding rows per access.
-  if (options.arena_tuples) sharded.BuildEncodedRows();
 
   RuntimeMetrics metrics(sharded.num_shards());
   std::unique_ptr<Transport> transport = MakeTransport(sharded, options, &metrics);
@@ -604,6 +599,7 @@ ReplayReport Replay(const Database& db, const DatabaseSolution& solution,
   const int num_clients = std::max(options.num_clients, 1);
   const auto t0 = std::chrono::steady_clock::now();
   uint64_t wall_us = 0;
+  uint64_t arrival_window_us = 0;
   if (options.target_tps > 0.0) {
     // One session per executor thread, created up front (sessions are not
     // thread-safe; executor ids are stable per thread), destroyed before
@@ -630,6 +626,7 @@ ReplayReport Replay(const Database& db, const DatabaseSolution& solution,
     perf.Stop();
     sessions.clear();
     wall_us = ol.last_completion_us;
+    arrival_window_us = ol.arrival_window_us;
   } else {
     std::atomic<size_t> next{0};
     std::atomic<uint64_t> last_done_us{0};
@@ -716,8 +713,9 @@ ReplayReport Replay(const Database& db, const DatabaseSolution& solution,
   report.retry = SnapshotLatency(report.retry_hist);
   report.target_tps = options.target_tps;
   report.shed = snap.shed;
-  if (report.open_loop() && wall > 0.0) {
-    report.offered_tps = static_cast<double>(report.total_txns) / wall;
+  if (report.open_loop() && arrival_window_us > 0) {
+    report.offered_tps = static_cast<double>(report.total_txns) /
+                         (static_cast<double>(arrival_window_us) / 1e6);
   }
   report.sojourn_hist = snap.sojourn_latency;
   report.queue_wait_hist = snap.queue_wait_latency;

@@ -142,7 +142,10 @@ struct ReplayReport {
   /// Sojourn is measured from the *scheduled* arrival, so admission backlog
   /// shows up as queue_wait instead of vanishing.
   double target_tps = 0.0;   ///< requested offered load (0 = closed loop)
-  double offered_tps = 0.0;  ///< measured: total_txns / wall
+  /// Measured arrival rate: total_txns over the window in which the arrival
+  /// thread pushed or shed them. It falls short of target_tps only when the
+  /// arrival thread lags its schedule.
+  double offered_tps = 0.0;
   uint64_t shed = 0;         ///< arrivals dropped at a full admission queue
   LatencyReport sojourn;     ///< completion - scheduled arrival
   LatencyReport queue_wait;  ///< admission dequeue - scheduled arrival

@@ -154,9 +154,9 @@ void ShardServer::HandlePrepare(EventLoop& loop, int64_t peer,
   vote.txn_id = frag.txn_id;
   vote.attempt = frag.attempt;
 
-  // Same decision coordinates, same injector, same plan as the coordinator's
-  // in-process path — so this shard votes down/reject on exactly the
-  // (txn, attempt) pairs TxnCoordinator::AttemptOnce would have.
+  // Same decision coordinates, same injector, same plan as the in-process
+  // ShardChannel — so this shard votes down/reject on exactly the
+  // (txn, attempt) pairs the in-process backend would have.
   if (injector_.ShardDown(frag.txn_id, frag.attempt, shard_id_)) {
     // Down shards refuse before doing any work (no CPU burned, no hold) —
     // mirrors the in-process path checking ShardDown before taking the lock.
@@ -237,9 +237,10 @@ void ShardServer::StreamAssembledReads(EventLoop& loop, int64_t peer,
   std::vector<ExchangeEntry> entries(reads.size());
 
   // Partition the read set by owner, preserving access order within each
-  // owner. Rows this shard stores (own or replicated copies) materialize
-  // locally; the rest are pulled from their owners' data planes in
-  // ascending shard order.
+  // owner. Rows this shard stores (own or replicated copies) are viewed in
+  // the encoded-row store; the rest are pulled from their owners' data
+  // planes in ascending shard order and viewed in `pulled`, which outlives
+  // the entries.
   std::vector<std::vector<size_t>> remote_pos(
       static_cast<size_t>(sharded_.num_shards()));
   for (size_t i = 0; i < reads.size(); ++i) {
@@ -247,29 +248,24 @@ void ShardServer::StreamAssembledReads(EventLoop& loop, int64_t peer,
               static_cast<RowId>(reads[i].row)};
     int32_t owner = sharded_.PrimaryShardOf(t);
     if (owner == kReplicated || owner == shard_id_) {
-      // Locally stored rows: serve from the arena-backed encoded store when
-      // it was built pre-fork (one copy, no per-value encode), else encode
-      // from the copy-on-write snapshot. Same bytes either way.
-      entries[i] = {t, sharded_.has_encoded_rows()
-                           ? std::string(sharded_.EncodedRow(t))
-                           : EncodeRowBytes(
-                                 sharded_.db().table_data(t.table).row(t.row))};
+      entries[i] = {t, sharded_.EncodedRow(t)};
     } else {
       remote_pos[static_cast<size_t>(owner)].push_back(i);
     }
   }
+  std::vector<std::vector<net::TupleBatchEntry>> pulled(remote_pos.size());
   for (int32_t owner = 0; owner < sharded_.num_shards(); ++owner) {
     const std::vector<size_t>& pos = remote_pos[static_cast<size_t>(owner)];
     if (pos.empty()) continue;
     std::vector<net::WireAccess> want;
     want.reserve(pos.size());
     for (size_t i : pos) want.push_back(reads[i]);
-    std::vector<net::TupleBatchEntry> pulled =
-        client_.Pull(owner, frag.txn_id, frag.attempt, want);
+    std::vector<net::TupleBatchEntry>& rows = pulled[static_cast<size_t>(owner)];
+    rows = client_.Pull(owner, frag.txn_id, frag.attempt, want);
     for (size_t j = 0; j < pos.size(); ++j) {
-      entries[pos[j]] = {TupleId{static_cast<TableId>(pulled[j].table),
-                                 static_cast<RowId>(pulled[j].row)},
-                         std::move(pulled[j].bytes)};
+      entries[pos[j]] = {TupleId{static_cast<TableId>(rows[j].table),
+                                 static_cast<RowId>(rows[j].row)},
+                         rows[j].bytes};
     }
   }
 

@@ -453,38 +453,94 @@ TransportReport SocketTransport::Report() const {
 }
 
 // ---------------------------------------------------------------------------
-// DistCoordinatorSession: one client thread's coordinator. Owns one lazily
+// SocketChannel: one client session's ShardChannel. Owns one lazily
 // connected FaultyChannel per shard (dist/wire_channel.h carries the shared
-// connect/fault/framing discipline) and mirrors TxnCoordinator's accounting
-// with the simulated message sleeps replaced by real wire round trips.
+// connect/fault/framing discipline); the session's TransportSession does all
+// the accounting off the votes this channel returns.
 
-class DistCoordinatorSession : public TransportSession {
+class SocketChannel : public ShardChannel {
  public:
-  DistCoordinatorSession(SocketTransport* transport, int client_id)
+  SocketChannel(SocketTransport* transport, int client_id)
       : transport_(transport),
         client_id_(static_cast<uint32_t>(client_id)),
-        options_(transport->options_),
-        injector_(transport->injector_),
-        metrics_(transport->metrics_),
-        prepare_us_(options_.local_work_us + options_.lock_hold_us),
-        wire_faults_(options_.faults.wire_enabled()),
-        exchange_on_(options_.exchange_enabled),
+        exchange_on_(transport->options_.exchange_enabled),
         channels_(static_cast<size_t>(transport->sharded_.num_shards())) {
+    const bool wire_faults = transport->options_.faults.wire_enabled();
     for (size_t i = 0; i < channels_.size(); ++i) {
       channels_[i].Configure(transport->addrs_[i], static_cast<int32_t>(i),
-                             &injector_, wire_faults_, &counters_, "coord");
+                             &transport->injector_, wire_faults, &counters_,
+                             "coord");
     }
+    prepared_.reserve(channels_.size());
   }
 
-  ~DistCoordinatorSession() override { transport_->MergeCounters(counters_); }
+  ~SocketChannel() override { transport_->MergeCounters(counters_); }
 
-  void ExecuteLocal(const ClassifiedTxn& txn) override;
-  void ExecuteDistributed(const ClassifiedTxn& txn) override;
+  void Execute(const ClassifiedTxn& txn) override {
+    Call(txn.home, MsgType::kExecute, WholeFragment(txn).Encode(), txn.txn_id,
+         0, MsgType::kExecuteAck);
+  }
+
+  /// One Prepare/Vote round trip. The vote carries the shard's own fault
+  /// decisions (same plan, same pure decision function as in-process).
+  Vote Prepare(const ClassifiedTxn& txn, uint32_t attempt,
+               int32_t shard) override {
+    Frame frame = Call(shard, MsgType::kPrepare,
+                       SliceFragment(txn, attempt, shard).Encode(), txn.txn_id,
+                       attempt, MsgType::kVote);
+    net::VoteMsg msg;
+    if (!msg.Decode(frame.payload)) {
+      TransportPanic("vote", shard, Status::Internal("undecodable VoteMsg"));
+    }
+    Vote vote;
+    vote.stalled = msg.stalled != 0;
+    switch (msg.decision) {
+      case net::VoteDecision::kYes:
+        // The shard now holds, blocked on this connection until Commit or
+        // Abort resolves the attempt.
+        prepared_.push_back(shard);
+        break;
+      case net::VoteDecision::kReject: vote.decision = Vote::kReject; break;
+      case net::VoteDecision::kDown: vote.decision = Vote::kDown; break;
+    }
+    return vote;
+  }
+
+  /// Fire-and-forget, like the in-process backend releasing locks without a
+  /// round trip. Delivery is still guaranteed: the drop fault retransmits.
+  void Abort(const ClassifiedTxn& txn, uint32_t attempt) override {
+    const std::string payload = TxnRef(txn, attempt);
+    for (int32_t p : prepared_) {
+      Ready(p, txn.txn_id).SendWithFaults(MsgType::kAbort, payload, txn.txn_id,
+                                          attempt);
+    }
+    prepared_.clear();
+  }
+
+  /// Each ack releases that shard's hold. The home shard's commit is the
+  /// exchange trigger: it streams the assembled read set (pulling remote
+  /// rows over the data plane while still holding) before its ack.
+  void Commit(const ClassifiedTxn& txn, uint32_t attempt) override {
+    const std::string payload = TxnRef(txn, attempt);
+    for (int32_t p : prepared_) {
+      if (exchange_on_ && p == txn.home) {
+        CommitHomeAndCollect(txn, attempt, payload);
+      } else {
+        Call(p, MsgType::kCommit, payload, txn.txn_id, attempt,
+             MsgType::kCommitAck);
+      }
+    }
+    prepared_.clear();
+  }
 
  private:
-  bool AttemptOnce(const ClassifiedTxn& txn, uint32_t attempt, bool traced);
-  void AbortPrepared(const std::vector<int32_t>& prepared,
-                     const ClassifiedTxn& txn, uint32_t attempt);
+  static std::string TxnRef(const ClassifiedTxn& txn, uint32_t attempt) {
+    net::TxnRefMsg ref;
+    ref.txn_id = txn.txn_id;
+    ref.attempt = attempt;
+    return ref.Encode();
+  }
+
   /// Commits the home shard and collects the kTupleBatch stream it assembles
   /// (terminated by the CommitAck), then feeds the entries through the same
   /// BuildExchangeOutcome accounting the in-process backend uses.
@@ -518,12 +574,6 @@ class DistCoordinatorSession : public TransportSession {
     return ch;
   }
 
-  /// Fire-and-forget send with the full fault discipline.
-  void Send(int32_t shard, MsgType type, const std::string& payload,
-            uint64_t txn_id, uint32_t attempt) {
-    Ready(shard, txn_id).SendWithFaults(type, payload, txn_id, attempt);
-  }
-
   /// One request/response round trip, RTT recorded against `shard`.
   Frame Call(int32_t shard, MsgType type, const std::string& payload,
              uint64_t txn_id, uint32_t attempt, MsgType want) {
@@ -535,7 +585,7 @@ class DistCoordinatorSession : public TransportSession {
     return reply;
   }
 
-  net::FragmentMsg WholeFragment(const ClassifiedTxn& txn, uint32_t attempt) const;
+  net::FragmentMsg WholeFragment(const ClassifiedTxn& txn) const;
   /// Only the accesses shard `p` stores (replicated writes included): the
   /// slice of the transaction that shard actually prepares. When exchange is
   /// on, the HOME shard's slice additionally carries the txn's full read set
@@ -545,48 +595,38 @@ class DistCoordinatorSession : public TransportSession {
 
   SocketTransport* transport_;
   const uint32_t client_id_;
-  const RuntimeOptions& options_;
-  const FaultInjector& injector_;
-  RuntimeMetrics* metrics_;
-  const uint32_t prepare_us_;
-  const bool wire_faults_;
   const bool exchange_on_;
 
   std::vector<FaultyChannel> channels_;
+  /// Shards that voted yes in the current attempt, in ascending order.
+  std::vector<int32_t> prepared_;
   TransportCounters counters_;
 };
 
-void DistCoordinatorSession::CommitHomeAndCollect(const ClassifiedTxn& txn,
-                                                  uint32_t attempt,
-                                                  const std::string& payload) {
+void SocketChannel::CommitHomeAndCollect(const ClassifiedTxn& txn,
+                                         uint32_t attempt,
+                                         const std::string& payload) {
   auto start = std::chrono::steady_clock::now();
   FaultyChannel& ch = Ready(txn.home, txn.txn_id);
   ch.SendWithFaults(MsgType::kCommit, payload, txn.txn_id, attempt);
 
   // Collect the assembled read set: zero or more in-order kTupleBatch
   // frames, terminated by the CommitAck (a read-free txn streams nothing, so
-  // the terminator doubles as the empty-stream case).
-  std::vector<ExchangeEntry> entries;
-  uint32_t expect_index = 0;
+  // the terminator doubles as the empty-stream case). The decoded batches
+  // stay alive while the entries view their bytes.
+  std::vector<net::TupleBatchMsg> batches;
   for (;;) {
     Frame frame = ch.RecvAny();
     if (frame.type == MsgType::kCommitAck) break;
     if (frame.type != MsgType::kTupleBatch) continue;  // stray: skip
-    net::TupleBatchMsg batch;
+    net::TupleBatchMsg& batch = batches.emplace_back();
     if (!batch.Decode(frame.payload)) {
       TransportPanic("exchange", txn.home,
                      Status::Internal("bad TupleBatchMsg"));
     }
-    if (batch.txn_id != txn.txn_id || batch.batch_index != expect_index) {
+    if (batch.txn_id != txn.txn_id || batch.batch_index != batches.size() - 1) {
       TransportPanic("exchange", txn.home,
                      Status::Internal("tuple batch stream out of order"));
-    }
-    ++expect_index;
-    entries.reserve(entries.size() + batch.entries.size());
-    for (net::TupleBatchEntry& e : batch.entries) {
-      entries.push_back({TupleId{static_cast<TableId>(e.table),
-                                 static_cast<RowId>(e.row)},
-                         std::move(e.bytes)});
     }
   }
   transport_->shard_rtt_[static_cast<size_t>(txn.home)]->Record(ElapsedUs(start));
@@ -594,6 +634,15 @@ void DistCoordinatorSession::CommitHomeAndCollect(const ClassifiedTxn& txn,
   size_t want = 0;
   for (const Access& a : txn.txn->accesses) {
     if (!a.write) ++want;
+  }
+  std::vector<ExchangeEntry> entries;
+  entries.reserve(want);
+  for (const net::TupleBatchMsg& batch : batches) {
+    for (const net::TupleBatchEntry& e : batch.entries) {
+      entries.push_back({TupleId{static_cast<TableId>(e.table),
+                                 static_cast<RowId>(e.row)},
+                         e.bytes});
+    }
   }
   if (entries.size() != want) {
     TransportPanic("exchange", txn.home,
@@ -603,14 +652,14 @@ void DistCoordinatorSession::CommitHomeAndCollect(const ClassifiedTxn& txn,
   // actually crossed the wire — the parity tests compare digests to prove
   // the two are identical.
   BuildExchangeOutcome(transport_->sharded_, txn, entries,
-                       options_.exchange_batch_bytes, metrics_);
+                       transport_->options_.exchange_batch_bytes,
+                       transport_->metrics_);
 }
 
-net::FragmentMsg DistCoordinatorSession::WholeFragment(const ClassifiedTxn& txn,
-                                                       uint32_t attempt) const {
+net::FragmentMsg SocketChannel::WholeFragment(const ClassifiedTxn& txn) const {
   net::FragmentMsg frag;
   frag.txn_id = txn.txn_id;
-  frag.attempt = attempt;
+  frag.attempt = 0;
   frag.class_id = txn.txn->class_id;
   frag.accesses.reserve(txn.txn->accesses.size());
   for (const Access& a : txn.txn->accesses) {
@@ -621,9 +670,9 @@ net::FragmentMsg DistCoordinatorSession::WholeFragment(const ClassifiedTxn& txn,
   return frag;
 }
 
-net::FragmentMsg DistCoordinatorSession::SliceFragment(const ClassifiedTxn& txn,
-                                                       uint32_t attempt,
-                                                       int32_t p) const {
+net::FragmentMsg SocketChannel::SliceFragment(const ClassifiedTxn& txn,
+                                              uint32_t attempt,
+                                              int32_t p) const {
   net::FragmentMsg frag;
   frag.txn_id = txn.txn_id;
   frag.attempt = attempt;
@@ -651,199 +700,10 @@ net::FragmentMsg DistCoordinatorSession::SliceFragment(const ClassifiedTxn& txn,
   return frag;
 }
 
-void DistCoordinatorSession::ExecuteLocal(const ClassifiedTxn& txn) {
-  TraceRecorder& rec = TraceRecorder::Default();
-  const bool traced =
-      rec.enabled() &&
-      TxnTraceSampled(options_.faults.seed, txn.txn_id, options_.trace_sample_rate);
-  auto start = std::chrono::steady_clock::now();
-  const uint64_t start_ts = traced ? rec.ToTraceUs(start) : 0;
-
-  if (options_.verify_residency) {
-    uint64_t faults = CountResidencyFaults(transport_->sharded_, txn);
-    if (faults > 0) {
-      metrics_->residency_faults.fetch_add(faults, std::memory_order_relaxed);
-    }
-  }
-
-  Call(txn.home, MsgType::kExecute, WholeFragment(txn, 0).Encode(), txn.txn_id,
-       0, MsgType::kExecuteAck);
-
-  // The shard burned local_work_us executing the fragment; account it to the
-  // shard exactly as the in-process worker does for itself.
-  ShardMetrics& sm = metrics_->shard(txn.home);
-  sm.busy_us.fetch_add(options_.local_work_us, std::memory_order_relaxed);
-  uint64_t latency_us = ElapsedUs(start);
-  sm.local_txns.fetch_add(1, std::memory_order_relaxed);
-  sm.local_latency.Record(latency_us);
-  metrics_->committed.fetch_add(1, std::memory_order_relaxed);
-  if (traced) {
-    rec.Span("runtime", "txn.local", start_ts, latency_us, "txn",
-             static_cast<int64_t>(txn.txn_id), "shard", txn.home);
-  }
-}
-
-void DistCoordinatorSession::AbortPrepared(const std::vector<int32_t>& prepared,
-                                           const ClassifiedTxn& txn,
-                                           uint32_t attempt) {
-  // Fire-and-forget, like the in-process backend releasing locks without a
-  // round trip. Delivery is still guaranteed: the drop fault retransmits.
-  net::TxnRefMsg ref;
-  ref.txn_id = txn.txn_id;
-  ref.attempt = attempt;
-  const std::string payload = ref.Encode();
-  for (int32_t p : prepared) {
-    Send(p, MsgType::kAbort, payload, txn.txn_id, attempt);
-  }
-}
-
-bool DistCoordinatorSession::AttemptOnce(const ClassifiedTxn& txn,
-                                         uint32_t attempt, bool traced) {
-  TraceRecorder& rec = TraceRecorder::Default();
-  const int64_t tid = static_cast<int64_t>(txn.txn_id);
-  const uint64_t prepare_ts = traced ? rec.NowUs() : 0;
-
-  // Prepare phase: participants in ascending id order (deadlock freedom —
-  // see dist/shard_server.h). Each Call's vote round trip replaces one
-  // in-process SimulateNetworkDelay with real wire latency; the metric
-  // updates below mirror TxnCoordinator::AttemptOnce line for line, driven
-  // by the shard's reported decisions instead of local injector calls (the
-  // two agree bit-for-bit: same plan, same pure decision function).
-  std::vector<int32_t> prepared;
-  prepared.reserve(txn.participants.size());
-  for (int32_t p : txn.participants) {
-    ShardMetrics& sm = metrics_->shard(p);
-    sm.participation_attempts.fetch_add(1, std::memory_order_relaxed);
-    Frame vote_frame = Call(p, MsgType::kPrepare,
-                            SliceFragment(txn, attempt, p).Encode(), txn.txn_id,
-                            attempt, MsgType::kVote);
-    net::VoteMsg vote;
-    if (!vote.Decode(vote_frame.payload)) {
-      TransportPanic("vote", p, Status::Internal("undecodable VoteMsg"));
-    }
-    if (vote.decision == net::VoteDecision::kDown) {
-      sm.down_events.fetch_add(1, std::memory_order_relaxed);
-      metrics_->shard_down_aborts.fetch_add(1, std::memory_order_relaxed);
-      if (traced) rec.Instant("fault", "fault.shard_down", "txn", tid, "shard", p);
-      AbortPrepared(prepared, txn, attempt);
-      return false;
-    }
-    sm.busy_us.fetch_add(prepare_us_, std::memory_order_relaxed);
-    if (vote.stalled != 0) {
-      sm.stalls.fetch_add(1, std::memory_order_relaxed);
-      metrics_->stalls_injected.fetch_add(1, std::memory_order_relaxed);
-      if (traced) rec.Instant("fault", "fault.stall", "txn", tid, "shard", p);
-    }
-    if (vote.decision == net::VoteDecision::kReject) {
-      sm.prepare_rejects.fetch_add(1, std::memory_order_relaxed);
-      metrics_->prepare_rejects.fetch_add(1, std::memory_order_relaxed);
-      if (traced) {
-        rec.Instant("fault", "fault.prepare_reject", "txn", tid, "shard", p);
-      }
-      AbortPrepared(prepared, txn, attempt);
-      return false;
-    }
-    sm.dist_participations.fetch_add(1, std::memory_order_relaxed);
-    prepared.push_back(p);
-  }
-
-  if (injector_.enabled() && injector_.CoordinatorTimesOut(txn.txn_id, attempt)) {
-    // Every prepared shard keeps holding (blocked in its NextFrom) while the
-    // coordinator waits out the vote timeout — the expensive abort, with the
-    // hold now enforced by real blocked event loops instead of mutexes.
-    metrics_->coordinator_timeouts.fetch_add(1, std::memory_order_relaxed);
-    if (traced) {
-      rec.Instant("fault", "fault.timeout", "txn", tid, "attempt",
-                  static_cast<int64_t>(attempt));
-    }
-    SimulateNetworkDelay(injector_.plan().timeout_us);
-    AbortPrepared(prepared, txn, attempt);
-    return false;
-  }
-  if (traced) {
-    rec.Span("runtime", "2pc.prepare", prepare_ts, rec.NowUs() - prepare_ts,
-             "txn", tid, "attempt", static_cast<int64_t>(attempt));
-  }
-  const uint64_t commit_ts = traced ? rec.NowUs() : 0;
-
-  // Commit round: each ack releases that shard's hold. Latency the client
-  // observes; the shards free up one by one as the acks come back. The home
-  // shard's commit is the exchange trigger: it streams the assembled read
-  // set (pulling remote rows over the data plane while still holding) before
-  // its ack, and the coordinator accounts the collected entries through the
-  // same BuildExchangeOutcome path the in-process backend uses.
-  net::TxnRefMsg ref;
-  ref.txn_id = txn.txn_id;
-  ref.attempt = attempt;
-  const std::string payload = ref.Encode();
-  for (int32_t p : prepared) {
-    if (exchange_on_ && p == txn.home) {
-      CommitHomeAndCollect(txn, attempt, payload);
-    } else {
-      Call(p, MsgType::kCommit, payload, txn.txn_id, attempt,
-           MsgType::kCommitAck);
-    }
-  }
-  if (traced) {
-    rec.Span("runtime", "2pc.commit", commit_ts, rec.NowUs() - commit_ts, "txn",
-             tid, "attempt", static_cast<int64_t>(attempt));
-  }
-  return true;
-}
-
-void DistCoordinatorSession::ExecuteDistributed(const ClassifiedTxn& txn) {
-  TraceRecorder& rec = TraceRecorder::Default();
-  const bool traced =
-      rec.enabled() &&
-      TxnTraceSampled(options_.faults.seed, txn.txn_id, options_.trace_sample_rate);
-  const int64_t tid = static_cast<int64_t>(txn.txn_id);
-  auto start = std::chrono::steady_clock::now();
-  const uint64_t start_ts = traced ? rec.ToTraceUs(start) : 0;
-
-  if (options_.verify_residency) {
-    uint64_t faults = CountResidencyFaults(transport_->sharded_, txn);
-    if (faults > 0) {
-      metrics_->residency_faults.fetch_add(faults, std::memory_order_relaxed);
-    }
-  }
-
-  const uint32_t budget = std::max(injector_.plan().max_attempts, 1u);
-  for (uint32_t attempt = 0; attempt < budget; ++attempt) {
-    if (AttemptOnce(txn, attempt, traced)) {
-      uint64_t latency_us = ElapsedUs(start);
-      metrics_->shard(txn.home).dist_latency.Record(latency_us);
-      if (attempt > 0) metrics_->retry_latency.Record(latency_us);
-      if (txn.distributed) {
-        metrics_->distributed_committed.fetch_add(1, std::memory_order_relaxed);
-      }
-      metrics_->committed.fetch_add(1, std::memory_order_relaxed);
-      if (traced) {
-        rec.Span("runtime", "txn.dist", start_ts, latency_us, "txn", tid,
-                 "attempts", static_cast<int64_t>(attempt) + 1);
-      }
-      return;
-    }
-    metrics_->aborts.fetch_add(1, std::memory_order_relaxed);
-    if (attempt + 1 < budget) {
-      metrics_->retries.fetch_add(1, std::memory_order_relaxed);
-      const uint64_t backoff_ts = traced ? rec.NowUs() : 0;
-      SimulateNetworkDelay(injector_.BackoffUs(txn.txn_id, attempt));
-      if (traced) {
-        rec.Span("runtime", "backoff", backoff_ts, rec.NowUs() - backoff_ts,
-                 "txn", tid, "attempt", static_cast<int64_t>(attempt));
-      }
-    }
-  }
-
-  metrics_->failed.fetch_add(1, std::memory_order_relaxed);
-  if (traced) {
-    rec.Span("runtime", "txn.failed", start_ts, ElapsedUs(start), "txn", tid,
-             "attempts", static_cast<int64_t>(budget));
-  }
-}
-
 std::unique_ptr<TransportSession> SocketTransport::NewSession(int client_id) {
-  return std::make_unique<DistCoordinatorSession>(this, client_id);
+  return std::make_unique<TransportSession>(
+      std::make_unique<SocketChannel>(this, client_id), sharded_, options_,
+      injector_, metrics_);
 }
 
 }  // namespace jecb

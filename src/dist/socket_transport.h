@@ -1,7 +1,8 @@
 // The real-wire backend: one forked ShardServer process per shard, one
-// socket connection per (client session, shard), and a DistCoordinator on
-// each client thread driving actual prepare/vote/commit/ack message rounds
-// instead of the in-process backend's simulated sleeps.
+// socket connection per (client session, shard), and on each client thread
+// a TransportSession whose SocketChannel sends actual
+// prepare/vote/commit/ack message rounds instead of the in-process
+// backend's simulated sleeps.
 //
 // Process model: Start() binds every shard's listener — the control
 // listener, plus a second DATA listener per shard when exchange is enabled —
@@ -17,12 +18,12 @@
 // status in TransportReport::shard_exits so abnormal deaths (a TransportPanic
 // abort, an OOM kill) are never silently absorbed by the ladder.
 //
-// Accounting: the parent mirrors TxnCoordinator's metric updates step for
-// step, keyed off the shard's VoteMsg (which carries the shard-side
-// fault decisions), so RuntimeMetrics — and therefore
-// ReplayReport::OutcomeSignature() — is bit-identical to the in-process
-// backend for the same seed. Wire-level traffic lands in TransportCounters
-// instead, which the signature deliberately excludes.
+// Accounting: the session's coordinator (runtime/coordinator.h) is the same
+// code the in-process backend runs, fed by the shard's VoteMsg (which
+// carries the shard-side fault decisions), so RuntimeMetrics — and
+// therefore ReplayReport::OutcomeSignature() — is bit-identical to the
+// in-process backend for the same seed. Wire-level traffic lands in
+// TransportCounters instead, which the signature deliberately excludes.
 //
 // Wire fault injection (FaultPlan::wire_*) is applied in the coordinator's
 // send path: drops are retransmitted after a simulated timer, duplicates
@@ -78,7 +79,7 @@ class SocketTransport : public Transport {
   const net::SocketAddr& shard_addr(int32_t i) const { return addrs_[i]; }
 
  private:
-  friend class DistCoordinatorSession;
+  friend class SocketChannel;
 
   struct ShardProc {
     pid_t pid = -1;

@@ -1,6 +1,10 @@
 #include "dist/transport.h"
 
+#include <mutex>
+#include <vector>
+
 #include "dist/socket_transport.h"
+#include "runtime/exchange.h"
 
 namespace jecb {
 
@@ -24,30 +28,110 @@ void TransportCounters::Merge(const TransportCounters& o) {
 
 namespace {
 
-/// Forwards to the shared executor/coordinator pair — the in-process
-/// backend was already thread-safe, so every session is a thin view.
-class InProcessSession : public TransportSession {
+/// The in-process ShardChannel: shard mutexes and simulated costs. A
+/// prepare takes the participant's lock and spins the prepare work under
+/// it; the locks stay held across the simulated vote round trip and are
+/// released before the exchange and the commit round trip. While a
+/// transaction holds a shard's lock, that shard's worker cannot execute
+/// local transactions.
+class InProcessChannel : public ShardChannel {
  public:
-  InProcessSession(ShardExecutor* executor, TxnCoordinator* coordinator)
-      : executor_(executor), coordinator_(coordinator) {}
+  InProcessChannel(ShardExecutor* executor, const FaultInjector& injector)
+      : executor_(executor),
+        injector_(injector.enabled() ? &injector : nullptr),
+        options_(executor->options()),
+        prepare_us_(options_.local_work_us + options_.lock_hold_us) {}
 
-  void ExecuteLocal(const ClassifiedTxn& txn) override {
-    executor_->ExecuteLocal(txn);
+  void Execute(const ClassifiedTxn& txn) override { executor_->ExecuteLocal(txn); }
+
+  Vote Prepare(const ClassifiedTxn& txn, uint32_t attempt,
+               int32_t shard) override {
+    Vote vote;
+    // A down shard refuses the connection before any lock is taken.
+    if (injector_ && injector_->ShardDown(txn.txn_id, attempt, shard)) {
+      vote.decision = Vote::kDown;
+      return vote;
+    }
+    held_.emplace_back(executor_->shard_lock(shard));
+    SimulateCpuWork(prepare_us_);
+    if (injector_ && injector_->ShardStalls(txn.txn_id, attempt, shard)) {
+      // The stall holds the lock (blocking the worker) without burning CPU.
+      vote.stalled = true;
+      SimulateNetworkDelay(injector_->plan().stall_us);
+    }
+    if (injector_ && injector_->PrepareRejected(txn.txn_id, attempt, shard)) {
+      vote.decision = Vote::kReject;
+    }
+    return vote;
   }
-  void ExecuteDistributed(const ClassifiedTxn& txn) override {
-    coordinator_->ExecuteDistributed(txn);
+
+  void Abort(const ClassifiedTxn& /*txn*/, uint32_t /*attempt*/) override {
+    held_.clear();
+  }
+
+  void Commit(const ClassifiedTxn& txn, uint32_t /*attempt*/) override {
+    // Votes travel back while every participant still holds its lock.
+    SimulateNetworkDelay(options_.round_trip_us);
+    held_.clear();
+    // The committing attempt assembles the read set straight from storage:
+    // the same entries and the same BuildExchangeOutcome accounting as the
+    // socket backends' home-shard assembly.
+    if (options_.exchange_enabled) {
+      AssembleLocalExchange(executor_->sharded_db(), txn,
+                            options_.exchange_batch_bytes, executor_->metrics());
+    }
+    // Commit messages out, acks back: latency the client still observes,
+    // but the shards are already free.
+    SimulateNetworkDelay(options_.round_trip_us);
   }
 
  private:
   ShardExecutor* executor_;
-  TxnCoordinator* coordinator_;
+  const FaultInjector* injector_;  ///< null when no fault is planned
+  const RuntimeOptions& options_;
+  const uint32_t prepare_us_;
+  std::vector<std::unique_lock<std::mutex>> held_;
+};
+
+/// The deterministic-test backend: the per-shard worker pool plus one
+/// InProcessChannel per session.
+class InProcessTransport : public Transport {
+ public:
+  InProcessTransport(const ShardedDatabase& sharded,
+                     const RuntimeOptions& options, RuntimeMetrics* metrics)
+      : executor_(sharded, options, metrics), injector_(options.faults) {}
+
+  Status Start() override {
+    executor_.Start();
+    return Status::OK();
+  }
+
+  std::unique_ptr<TransportSession> NewSession(int /*client_id*/) override {
+    return std::make_unique<TransportSession>(
+        std::make_unique<InProcessChannel>(&executor_, injector_),
+        executor_.sharded_db(), executor_.options(), injector_,
+        executor_.metrics());
+  }
+
+  /// Closes the shard queues and joins every worker; queued transactions
+  /// all execute before this returns (WorkQueue drains on Close).
+  void Drain() override { executor_.Shutdown(); }
+
+  TransportReport Report() const override {
+    TransportReport r;
+    r.kind = TransportKind::kInProcess;
+    r.shard_rtt.resize(static_cast<size_t>(executor_.num_shards()));
+    return r;
+  }
+
+  TransportKind kind() const override { return TransportKind::kInProcess; }
+
+ private:
+  ShardExecutor executor_;
+  FaultInjector injector_;
 };
 
 }  // namespace
-
-std::unique_ptr<TransportSession> InProcessTransport::NewSession(int /*client_id*/) {
-  return std::make_unique<InProcessSession>(&executor_, &coordinator_);
-}
 
 std::unique_ptr<Transport> MakeTransport(const ShardedDatabase& sharded,
                                          const RuntimeOptions& options,

@@ -1,11 +1,13 @@
 // Transport: the seam between the replay driver and an execution backend.
 // Replay() classifies the trace and spins up closed-loop clients; every
-// transaction then goes through a TransportSession, which either forwards to
-// the in-process executor/coordinator (the deterministic-test backend) or
-// drives real 2PC message rounds to forked shard-server processes over
-// sockets (dist/socket_transport.h). Both backends update the SAME
-// RuntimeMetrics with the SAME accounting rules, which is what makes
-// ReplayReport::OutcomeSignature() backend-invariant.
+// transaction then goes through a TransportSession (runtime/coordinator.h),
+// the one 2PC coordinator. A backend only supplies the session's
+// ShardChannel: the in-process one locks shard mutexes and simulates costs
+// against the per-shard worker pool (the deterministic-test reference); the
+// socket one sends real 2PC message rounds to forked shard-server processes
+// (dist/socket_transport.h). Both feed the SAME RuntimeMetrics through the
+// SAME session code, which is what makes ReplayReport::OutcomeSignature()
+// backend-invariant.
 //
 // Lifecycle contract (Replay() enforces the order):
 //   Start() -> NewSession() per client thread -> sessions destroyed ->
@@ -23,11 +25,10 @@
 
 #include "common/status.h"
 #include "obs/histogram.h"
+#include "runtime/coordinator.h"
 #include "runtime/executor.h"
-#include "runtime/fault_injector.h"
 #include "runtime/metrics.h"
 #include "runtime/sharded_database.h"
-#include "runtime/txn_coordinator.h"
 
 namespace jecb {
 
@@ -98,20 +99,6 @@ struct TransportReport {
   bool real_wire() const { return kind != TransportKind::kInProcess; }
 };
 
-/// One client thread's handle onto the backend. Sessions are not
-/// thread-safe; each closed-loop client owns exactly one.
-class TransportSession {
- public:
-  virtual ~TransportSession() = default;
-
-  /// Runs a single-partition transaction to commit; blocks (closed loop).
-  virtual void ExecuteLocal(const ClassifiedTxn& txn) = 0;
-
-  /// Runs a multi-partition transaction through 2PC to commit or recorded
-  /// failure, including retries and backoff.
-  virtual void ExecuteDistributed(const ClassifiedTxn& txn) = 0;
-};
-
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -142,41 +129,5 @@ class Transport {
 std::unique_ptr<Transport> MakeTransport(const ShardedDatabase& sharded,
                                          const RuntimeOptions& options,
                                          RuntimeMetrics* metrics);
-
-/// The deterministic-test backend: wraps the per-shard worker pool and the
-/// in-process 2PC coordinator, exactly the pre-distributed code path.
-class InProcessTransport : public Transport {
- public:
-  InProcessTransport(const ShardedDatabase& sharded,
-                     const RuntimeOptions& options, RuntimeMetrics* metrics)
-      : executor_(sharded, options, metrics),
-        injector_(options.faults),
-        coordinator_(&executor_, &injector_) {}
-
-  Status Start() override {
-    executor_.Start();
-    return Status::OK();
-  }
-
-  std::unique_ptr<TransportSession> NewSession(int client_id) override;
-
-  /// Closes the shard queues and joins every worker; queued transactions
-  /// all execute before this returns (WorkQueue drains on Close).
-  void Drain() override { executor_.Shutdown(); }
-
-  TransportReport Report() const override {
-    TransportReport r;
-    r.kind = TransportKind::kInProcess;
-    r.shard_rtt.resize(static_cast<size_t>(executor_.num_shards()));
-    return r;
-  }
-
-  TransportKind kind() const override { return TransportKind::kInProcess; }
-
- private:
-  ShardExecutor executor_;
-  FaultInjector injector_;
-  TxnCoordinator coordinator_;
-};
 
 }  // namespace jecb

@@ -16,107 +16,17 @@ void AppendLE(std::string& out, uint64_t v, int bytes) {
   }
 }
 
-// The accounting functions are templated over the entry type (owned
-// ExchangeEntry from the wire path, ExchangeEntryView from the arena path)
-// so both compile from the SAME logic — the view path cannot drift into a
-// different digest or batch rule.
-
-template <typename Entry>
-uint64_t EntryWireBytes(const Entry& e) {
+uint64_t EntryWireBytes(const ExchangeEntry& e) {
   return kExchangeEntryOverheadBytes + e.bytes.size();
 }
 
-template <typename Entry>
-std::vector<std::pair<size_t, size_t>> BatchSpansImpl(
-    const std::vector<Entry>& entries, size_t begin, size_t end,
-    uint32_t batch_bytes) {
-  std::vector<std::pair<size_t, size_t>> spans;
-  size_t i = begin;
-  while (i < end) {
-    size_t j = i;
-    uint64_t used = 0;
-    while (j < end) {
-      uint64_t cost = EntryWireBytes(entries[j]);
-      if (j > i && used + cost > batch_bytes) break;
-      used += cost;
-      ++j;
-    }
-    spans.emplace_back(i, j);
-    i = j;
-  }
-  return spans;
-}
-
-template <typename Entry>
-uint64_t PayloadDigestImpl(uint64_t txn_id, const std::vector<Entry>& entries) {
+uint64_t PayloadDigest(uint64_t txn_id, const std::vector<ExchangeEntry>& entries) {
   uint64_t h = HashInt64(txn_id);
-  for (const Entry& e : entries) {
+  for (const ExchangeEntry& e : entries) {
     uint64_t eh = HashCombine(HashInt64(e.tuple.table), HashInt64(e.tuple.row));
     h = HashCombine(h, HashCombine(eh, HashString(e.bytes)));
   }
   return h;
-}
-
-template <typename Entry>
-uint64_t BuildExchangeOutcomeImpl(const ShardedDatabase& sharded,
-                                  const ClassifiedTxn& txn,
-                                  const std::vector<Entry>& entries,
-                                  uint32_t batch_bytes, RuntimeMetrics* metrics) {
-  JECB_SPAN("exchange", "exchange.assemble");
-  const uint32_t clamped = ClampExchangeBatchBytes(batch_bytes);
-  uint64_t tuples = 0, bytes = 0, remote_tuples = 0, remote_bytes = 0;
-  uint64_t batches = 0;
-  // Remote sources are few (<= num_shards); flat vectors beat sets. Owners
-  // are resolved once so the batch pass below never re-hits the layout.
-  std::vector<int32_t> sources;
-  std::vector<int32_t> owners;
-  owners.reserve(entries.size());
-  for (const Entry& e : entries) {
-    ++tuples;
-    bytes += e.bytes.size();
-    int32_t owner = sharded.PrimaryShardOf(e.tuple);
-    owners.push_back(owner);
-    if (owner == kReplicated || owner == txn.home) continue;
-    ++remote_tuples;
-    remote_bytes += e.bytes.size();
-    metrics->shard(owner).exchange_tuples_out.fetch_add(
-        1, std::memory_order_relaxed);
-    metrics->shard(owner).exchange_bytes_out.fetch_add(
-        e.bytes.size(), std::memory_order_relaxed);
-    if (std::find(sources.begin(), sources.end(), owner) == sources.end()) {
-      sources.push_back(owner);
-    }
-  }
-  // Batch count: what each remote source would ship, packed greedily over
-  // that source's entries in access order — the same rule BatchSpansImpl /
-  // the wire encoder apply, run over costs so no entries are copied.
-  for (int32_t src : sources) {
-    uint64_t used = 0;
-    size_t in_batch = 0;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (owners[i] != src) continue;
-      uint64_t cost = EntryWireBytes(entries[i]);
-      if (in_batch > 0 && used + cost > clamped) {
-        used = 0;
-        in_batch = 0;
-      }
-      if (in_batch == 0) ++batches;
-      used += cost;
-      ++in_batch;
-    }
-  }
-  const uint64_t digest = PayloadDigestImpl(txn.txn_id, entries);
-  metrics->exchange_txns.fetch_add(1, std::memory_order_relaxed);
-  metrics->exchange_tuples.fetch_add(tuples, std::memory_order_relaxed);
-  metrics->exchange_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  metrics->exchange_remote_tuples.fetch_add(remote_tuples,
-                                            std::memory_order_relaxed);
-  metrics->exchange_remote_bytes.fetch_add(remote_bytes,
-                                           std::memory_order_relaxed);
-  metrics->exchange_batches.fetch_add(batches, std::memory_order_relaxed);
-  metrics->exchange_digest.fetch_add(digest, std::memory_order_relaxed);
-  metrics->exchange_fanout.Record(static_cast<uint64_t>(sources.size()));
-  return digest;
 }
 
 }  // namespace
@@ -148,104 +58,105 @@ std::string EncodeRowBytes(const Row& row) {
   return out;
 }
 
-std::vector<TupleId> ExchangeReadSet(const Transaction& txn) {
-  std::vector<TupleId> reads;
-  for (const Access& a : txn.accesses) {
-    if (!a.write) reads.push_back(a.tuple);
-  }
-  return reads;
-}
-
-std::vector<ExchangeEntry> MaterializeReads(const Database& db,
-                                            const std::vector<TupleId>& reads) {
-  std::vector<ExchangeEntry> entries;
-  entries.reserve(reads.size());
-  for (TupleId t : reads) {
-    entries.push_back({t, EncodeRowBytes(db.table_data(t.table).row(t.row))});
-  }
-  return entries;
-}
-
 std::vector<ExchangeEntry> MaterializeReads(const ShardedDatabase& sharded,
                                             const std::vector<TupleId>& reads) {
-  if (!sharded.has_encoded_rows()) return MaterializeReads(sharded.db(), reads);
   std::vector<ExchangeEntry> entries;
   entries.reserve(reads.size());
-  for (TupleId t : reads) {
-    entries.push_back({t, std::string(sharded.EncodedRow(t))});
-  }
+  for (TupleId t : reads) entries.push_back({t, sharded.EncodedRow(t)});
   return entries;
 }
 
-void MaterializeReadViews(const ShardedDatabase& sharded,
-                          const std::vector<TupleId>& reads,
-                          std::vector<ExchangeEntryView>* out, Arena* scratch) {
-  out->clear();
-  out->reserve(reads.size());
-  if (sharded.has_encoded_rows()) {
-    for (TupleId t : reads) out->push_back({t, sharded.EncodedRow(t)});
-    return;
-  }
-  const Database& db = sharded.db();
-  for (TupleId t : reads) {
-    out->push_back(
-        {t, scratch->CopyString(EncodeRowBytes(db.table_data(t.table).row(t.row)))});
-  }
-}
-
 std::vector<std::pair<size_t, size_t>> ExchangeBatchSpans(
-    const std::vector<ExchangeEntry>& entries, size_t begin, size_t end,
-    uint32_t batch_bytes) {
-  return BatchSpansImpl(entries, begin, end, batch_bytes);
-}
-
-std::vector<std::pair<size_t, size_t>> ExchangeBatchSpans(
-    const std::vector<ExchangeEntryView>& entries, size_t begin, size_t end,
-    uint32_t batch_bytes) {
-  return BatchSpansImpl(entries, begin, end, batch_bytes);
-}
-
-uint64_t ExchangePayloadDigest(uint64_t txn_id,
-                               const std::vector<ExchangeEntry>& entries) {
-  return PayloadDigestImpl(txn_id, entries);
-}
-
-uint64_t ExchangePayloadDigest(uint64_t txn_id,
-                               const std::vector<ExchangeEntryView>& entries) {
-  return PayloadDigestImpl(txn_id, entries);
+    const std::vector<ExchangeEntry>& entries, uint32_t batch_bytes) {
+  std::vector<std::pair<size_t, size_t>> spans;
+  size_t i = 0;
+  while (i < entries.size()) {
+    size_t j = i;
+    uint64_t used = 0;
+    while (j < entries.size()) {
+      uint64_t cost = EntryWireBytes(entries[j]);
+      if (j > i && used + cost > batch_bytes) break;
+      used += cost;
+      ++j;
+    }
+    spans.emplace_back(i, j);
+    i = j;
+  }
+  return spans;
 }
 
 uint64_t BuildExchangeOutcome(const ShardedDatabase& sharded,
                               const ClassifiedTxn& txn,
                               const std::vector<ExchangeEntry>& entries,
                               uint32_t batch_bytes, RuntimeMetrics* metrics) {
-  return BuildExchangeOutcomeImpl(sharded, txn, entries, batch_bytes, metrics);
-}
-
-uint64_t BuildExchangeOutcome(const ShardedDatabase& sharded,
-                              const ClassifiedTxn& txn,
-                              const std::vector<ExchangeEntryView>& entries,
-                              uint32_t batch_bytes, RuntimeMetrics* metrics) {
-  return BuildExchangeOutcomeImpl(sharded, txn, entries, batch_bytes, metrics);
+  JECB_SPAN("exchange", "exchange.assemble");
+  const uint32_t clamped = ClampExchangeBatchBytes(batch_bytes);
+  uint64_t tuples = 0, bytes = 0, remote_tuples = 0, remote_bytes = 0;
+  uint64_t batches = 0;
+  // Remote sources are few (<= num_shards); flat vectors beat sets. Owners
+  // are resolved once so the batch pass below never re-hits the layout.
+  std::vector<int32_t> sources;
+  std::vector<int32_t> owners;
+  owners.reserve(entries.size());
+  for (const ExchangeEntry& e : entries) {
+    ++tuples;
+    bytes += e.bytes.size();
+    int32_t owner = sharded.PrimaryShardOf(e.tuple);
+    owners.push_back(owner);
+    if (owner == kReplicated || owner == txn.home) continue;
+    ++remote_tuples;
+    remote_bytes += e.bytes.size();
+    metrics->shard(owner).exchange_tuples_out.fetch_add(
+        1, std::memory_order_relaxed);
+    metrics->shard(owner).exchange_bytes_out.fetch_add(
+        e.bytes.size(), std::memory_order_relaxed);
+    if (std::find(sources.begin(), sources.end(), owner) == sources.end()) {
+      sources.push_back(owner);
+    }
+  }
+  // Batch count: what each remote source would ship, packed greedily over
+  // that source's entries in access order — the same rule ExchangeBatchSpans
+  // applies, run over costs so no entries are copied.
+  for (int32_t src : sources) {
+    uint64_t used = 0;
+    size_t in_batch = 0;
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (owners[i] != src) continue;
+      uint64_t cost = EntryWireBytes(entries[i]);
+      if (in_batch > 0 && used + cost > clamped) {
+        used = 0;
+        in_batch = 0;
+      }
+      if (in_batch == 0) ++batches;
+      used += cost;
+      ++in_batch;
+    }
+  }
+  const uint64_t digest = PayloadDigest(txn.txn_id, entries);
+  metrics->exchange_txns.fetch_add(1, std::memory_order_relaxed);
+  metrics->exchange_tuples.fetch_add(tuples, std::memory_order_relaxed);
+  metrics->exchange_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  metrics->exchange_remote_tuples.fetch_add(remote_tuples,
+                                            std::memory_order_relaxed);
+  metrics->exchange_remote_bytes.fetch_add(remote_bytes,
+                                           std::memory_order_relaxed);
+  metrics->exchange_batches.fetch_add(batches, std::memory_order_relaxed);
+  metrics->exchange_digest.fetch_add(digest, std::memory_order_relaxed);
+  metrics->exchange_fanout.Record(static_cast<uint64_t>(sources.size()));
+  return digest;
 }
 
 uint64_t AssembleLocalExchange(const ShardedDatabase& sharded,
                                const ClassifiedTxn& txn, uint32_t batch_bytes,
                                RuntimeMetrics* metrics) {
-  // Per-thread scratch: with the encoded-row store built the views alias
-  // the store and the arena never grows; without it the arena holds this
-  // call's encodings and is rewound on the next call. Either way the steady
-  // state allocates nothing per row.
-  thread_local std::vector<TupleId> reads;
-  thread_local std::vector<ExchangeEntryView> views;
-  thread_local Arena scratch(16 * 1024);
-  reads.clear();
-  scratch.Reset();
+  // Per-thread scratch: the entries view the encoded-row store, so the
+  // steady state allocates nothing per row.
+  thread_local std::vector<ExchangeEntry> entries;
+  entries.clear();
   for (const Access& a : txn.txn->accesses) {
-    if (!a.write) reads.push_back(a.tuple);
+    if (!a.write) entries.push_back({a.tuple, sharded.EncodedRow(a.tuple)});
   }
-  MaterializeReadViews(sharded, reads, &views, &scratch);
-  return BuildExchangeOutcome(sharded, txn, views, batch_bytes, metrics);
+  return BuildExchangeOutcome(sharded, txn, entries, batch_bytes, metrics);
 }
 
 }  // namespace jecb

@@ -3,8 +3,8 @@
 // backend-independent half of exchange-style tuple routing — it knows rows,
 // shard ownership, batching arithmetic, and the payload digest, but nothing
 // about sockets. The wire half (dist/exchange.h) ships the same entries over
-// shard-to-shard data channels; the in-process backend materializes them
-// directly from storage. Both funnel through BuildExchangeOutcome, the ONE
+// shard-to-shard data channels; the in-process backend views them straight
+// in the encoded-row store. Both funnel through BuildExchangeOutcome, the ONE
 // place exchange metrics are computed, which is what makes every
 // jecb_exchange_* counter and the digest bit-identical across backends.
 //
@@ -17,9 +17,9 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "runtime/executor.h"
 #include "runtime/metrics.h"
 #include "runtime/sharded_database.h"
@@ -35,19 +35,11 @@ inline constexpr uint64_t kExchangeEntryOverheadBytes = 16;
 /// Valid range for RuntimeOptions::exchange_batch_bytes.
 uint32_t ClampExchangeBatchBytes(uint32_t requested);
 
-/// One materialized row of a read set: where it lives and its encoded bytes.
+/// One materialized row of a read set: where it lives and a view of its
+/// encoded bytes. Non-owning: the bytes live in the ShardedDatabase's
+/// encoded-row store, or in the decoded wire messages the caller keeps
+/// alive while it uses the entries.
 struct ExchangeEntry {
-  TupleId tuple;
-  std::string bytes;
-};
-
-/// Non-owning variant for the hot assembly path: when the ShardedDatabase
-/// has its encoded-row store built (RuntimeOptions::arena_tuples), views
-/// point straight into the per-shard arenas and assembling a read set
-/// allocates nothing per row. All accounting functions below accept either
-/// entry type and produce bit-identical digests/batch counts — the view
-/// path is an allocation optimization, never a semantic fork.
-struct ExchangeEntryView {
   TupleId tuple;
   std::string_view bytes;
 };
@@ -58,63 +50,32 @@ struct ExchangeEntryView {
 /// digest below covers real wire bytes, not an abstraction of them.
 std::string EncodeRowBytes(const Row& row);
 
-/// The read set of `txn` in access order (duplicates preserved — a row read
-/// twice ships twice, on every backend identically).
-std::vector<TupleId> ExchangeReadSet(const Transaction& txn);
-
-/// Materializes `reads` from storage in order. Shared by the in-process
-/// backend (assembling directly) and the shard-side ExchangeNode (serving a
-/// peer's pull), so byte content cannot diverge between them.
-std::vector<ExchangeEntry> MaterializeReads(const Database& db,
-                                            const std::vector<TupleId>& reads);
-
-/// Store-aware owned materialization: copies pre-encoded bytes out of the
-/// arena store when built (skipping the per-value encode), else encodes
-/// from storage. Identical bytes either way.
+/// Views `reads` in the encoded-row store, in order. Shared by the
+/// in-process backend (assembling directly) and the shard-side ExchangeNode
+/// (serving a peer's pull), so byte content cannot diverge between them.
 std::vector<ExchangeEntry> MaterializeReads(const ShardedDatabase& sharded,
                                             const std::vector<TupleId>& reads);
-
-/// Zero-copy materialization into `out`. With the encoded-row store built,
-/// views alias the store's arenas and `scratch` is untouched; without it,
-/// rows are encoded once into `scratch` (which must stay alive, unreset,
-/// while the views are in use). `out` is cleared first.
-void MaterializeReadViews(const ShardedDatabase& sharded,
-                          const std::vector<TupleId>& reads,
-                          std::vector<ExchangeEntryView>* out, Arena* scratch);
 
 /// Greedy batch split: entries are packed in order until adding the next one
 /// would push the batch past `batch_bytes` (a batch always takes at least
 /// one entry, so an oversized row still ships). Returns [begin, end) index
-/// spans. Both the wire encoder and the in-process accounting use this one
-/// rule, which is why jecb_exchange_batches is backend-invariant.
+/// spans. The wire encoder uses this rule and BuildExchangeOutcome counts
+/// batches by it, which is why jecb_exchange_batches is backend-invariant.
 std::vector<std::pair<size_t, size_t>> ExchangeBatchSpans(
-    const std::vector<ExchangeEntry>& entries, size_t begin, size_t end,
-    uint32_t batch_bytes);
-std::vector<std::pair<size_t, size_t>> ExchangeBatchSpans(
-    const std::vector<ExchangeEntryView>& entries, size_t begin, size_t end,
-    uint32_t batch_bytes);
-
-/// Per-transaction digest over the assembled read set: HashInt64(txn_id)
-/// folded with every entry's (table, row, bytes). Commutatively accumulated
-/// across transactions (fetch_add), so the replay-level digest is identical
-/// at any client count and commit interleaving.
-uint64_t ExchangePayloadDigest(uint64_t txn_id,
-                               const std::vector<ExchangeEntry>& entries);
-uint64_t ExchangePayloadDigest(uint64_t txn_id,
-                               const std::vector<ExchangeEntryView>& entries);
+    const std::vector<ExchangeEntry>& entries, uint32_t batch_bytes);
 
 /// The ONE accounting path for a committed transaction's assembled read set.
 /// Counts totals, remote (owner != home, non-replicated) tuples/bytes,
 /// batches per remote source shard (greedy rule above), the fan-out
 /// histogram sample, the digest, and the per-owning-shard out counters.
-/// `entries` must be in access order. Returns the per-txn digest.
+/// `entries` must be in access order. Returns the per-txn digest:
+/// HashInt64(txn_id) folded with every entry's (table, row, bytes),
+/// accumulated commutatively across transactions (fetch_add), so the
+/// replay-level digest is identical at any client count and commit
+/// interleaving.
 uint64_t BuildExchangeOutcome(const ShardedDatabase& sharded,
                               const ClassifiedTxn& txn,
                               const std::vector<ExchangeEntry>& entries,
-                              uint32_t batch_bytes, RuntimeMetrics* metrics);
-uint64_t BuildExchangeOutcome(const ShardedDatabase& sharded,
-                              const ClassifiedTxn& txn,
-                              const std::vector<ExchangeEntryView>& entries,
                               uint32_t batch_bytes, RuntimeMetrics* metrics);
 
 /// In-process assembly: materialize + account in one step. The socket

@@ -1,7 +1,5 @@
 #include "runtime/executor.h"
 
-#include <algorithm>
-
 #include "common/topology.h"
 
 namespace jecb {
@@ -13,19 +11,6 @@ std::string_view TransportKindName(TransportKind kind) {
     case TransportKind::kTcpSocket: return "tcp";
   }
   return "unknown";
-}
-
-uint64_t CountResidencyFaults(const ShardedDatabase& sharded,
-                              const ClassifiedTxn& txn) {
-  uint64_t faults = 0;
-  for (const Access& a : txn.txn->accesses) {
-    int32_t p = sharded.PrimaryShardOf(a.tuple);
-    if (p == kReplicated) continue;  // present on every shard
-    if (!std::binary_search(txn.participants.begin(), txn.participants.end(), p)) {
-      ++faults;
-    }
-  }
-  return faults;
 }
 
 ShardExecutor::ShardExecutor(const ShardedDatabase& sharded_db,
@@ -73,13 +58,6 @@ void ShardExecutor::Shutdown() {
   started_ = false;
 }
 
-void ShardExecutor::VerifyResidency(const ClassifiedTxn& txn) {
-  uint64_t faults = CountResidencyFaults(sharded_db_, txn);
-  if (faults > 0) {
-    metrics_->residency_faults.fetch_add(faults, std::memory_order_relaxed);
-  }
-}
-
 void ShardExecutor::WorkerLoop(int32_t shard_id) {
   ShardState& shard = *shards_[shard_id];
   ShardMetrics& sm = metrics_->shard(shard_id);
@@ -95,34 +73,22 @@ void ShardExecutor::WorkerLoop(int32_t shard_id) {
   const ContextSwitchCounts csw_start = ThreadContextSwitches();
   while (auto job_opt = shard.queue.Pop()) {
     Job* job = *job_opt;
-    const ClassifiedTxn& txn = *job->txn;
     const bool traced = job->traced;
     // Timeline anchors for sampled txns: enqueue time (came from the client
     // thread) and dequeue time, both on the recorder's clock.
     const uint64_t enq_ts = traced ? rec.ToTraceUs(job->enqueued) : 0;
     const uint64_t exec_ts = traced ? rec.NowUs() : 0;
-    if (options_.verify_residency) VerifyResidency(txn);
     {
       std::lock_guard<std::mutex> guard(shard.lock);
       SimulateCpuWork(options_.local_work_us);
     }
-    sm.busy_us.fetch_add(options_.local_work_us, std::memory_order_relaxed);
-    uint64_t latency_us = ElapsedUs(job->enqueued);
-    sm.local_txns.fetch_add(1, std::memory_order_relaxed);
-    sm.local_latency.Record(latency_us);
-    metrics_->committed.fetch_add(1, std::memory_order_relaxed);
     if (traced) {
-      const int64_t tid = static_cast<int64_t>(txn.txn_id);
+      const int64_t tid = static_cast<int64_t>(job->txn->txn_id);
       rec.Span("runtime", "queue_wait", enq_ts,
                exec_ts > enq_ts ? exec_ts - enq_ts : 0, "txn", tid, "shard",
                shard_id);
       rec.Span("runtime", "exec", exec_ts, rec.NowUs() - exec_ts, "txn", tid,
                "shard", shard_id);
-      // The full client-observed latency: dur equals the value recorded in
-      // local_latency exactly, so trace rollups reconcile with the report's
-      // histograms by construction.
-      rec.Span("runtime", "txn.local", enq_ts, latency_us, "txn", tid, "shard",
-               shard_id);
     }
     job->done.release();
   }

@@ -1,9 +1,10 @@
-// Partitioned execution engine: one worker thread per shard, fed through an
-// MPSC work queue, executes single-partition transactions under the shard's
-// lock. Multi-partition transactions bypass the queues and are driven by the
-// TxnCoordinator (two-phase commit simulation) on the submitting thread,
-// contending on the same per-shard locks — which is exactly how distributed
-// transactions steal throughput from local ones (paper Fig. 1).
+// Partitioned execution engine of the in-process backend: one worker thread
+// per shard, fed through an MPSC work queue, executes single-partition
+// transactions under the shard's lock. Multi-partition transactions bypass
+// the queues: the client thread's TransportSession (runtime/coordinator.h)
+// takes the same per-shard locks through the in-process ShardChannel —
+// which is exactly how distributed transactions steal throughput from local
+// ones (paper Fig. 1).
 //
 // Costs are simulated, not measured from real I/O: CPU work spins the clock
 // (it occupies the shard), network round trips sleep (they occupy nothing
@@ -143,12 +144,6 @@ struct RuntimeOptions {
   /// logical cpus, physical cores first (BuildPinPlan). Best-effort and
   /// performance-only: outcomes are identical pinned or not.
   bool pin_threads = false;
-  /// Back each shard's tuple bytes with a per-shard bump-pointer arena
-  /// (ShardedDatabase::BuildEncodedRows): exchange read-set assembly serves
-  /// pre-encoded rows from the arena instead of heap-allocating a fresh
-  /// std::string per row. Performance-only; byte-identical payloads, so
-  /// every digest and signature is unchanged on or off.
-  bool arena_tuples = true;
 };
 
 /// Deterministic per-txn trace-sampling decision; thread-count independent
@@ -185,13 +180,6 @@ struct ClassifiedTxn {
   }
 };
 
-/// Accesses of `txn` whose owning shard is not among `txn.participants`
-/// (replicated tuples are resident everywhere and never count). Shared by
-/// every backend so residency accounting is identical in-process and over
-/// sockets. Lock-free: the shard layout is immutable.
-uint64_t CountResidencyFaults(const ShardedDatabase& sharded,
-                              const ClassifiedTxn& txn);
-
 /// Burns CPU for `us` microseconds: simulated transaction execution work.
 inline void SimulateCpuWork(uint32_t us) {
   if (us == 0) return;
@@ -227,7 +215,8 @@ class ShardExecutor {
   void Start();
 
   /// Runs a single-partition transaction on its home shard's worker and
-  /// blocks until it commits (closed-loop client).
+  /// blocks until the worker has executed it. Commit accounting is the
+  /// calling TransportSession's.
   void ExecuteLocal(const ClassifiedTxn& txn);
 
   /// Closes all queues and joins the workers. Idempotent; called by the
@@ -237,10 +226,6 @@ class ShardExecutor {
   /// Per-shard lock; the coordinator acquires these in ascending shard-id
   /// order, which makes the 2PC simulation deadlock-free.
   std::mutex& shard_lock(int32_t shard) { return shards_[shard]->lock; }
-
-  /// Counts accesses whose owning shard is not among `txn.participants`
-  /// into residency_faults. Lock-free: the shard layout is immutable.
-  void VerifyResidency(const ClassifiedTxn& txn);
 
   const ShardedDatabase& sharded_db() const { return sharded_db_; }
   const RuntimeOptions& options() const { return options_; }

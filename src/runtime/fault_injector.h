@@ -14,9 +14,10 @@
 // any client/thread count, which is what makes fault replays bit-comparable
 // (ReplayReport::OutcomeSignature) and TSan runs reproducible. Fault
 // targeting reuses the shared Definition 5/6 classification: the injector is
-// only consulted on the TxnCoordinator path, i.e. for transactions
-// ClassifyTrace/IsDistributed (partition/evaluator.h) marked as requiring
-// coordination — purely local transactions are never faulted.
+// only consulted on the 2PC path (TransportSession::ExecuteDistributed and
+// the prepares it sends), i.e. for transactions ClassifyTrace/IsDistributed
+// (partition/evaluator.h) marked as requiring coordination — purely local
+// transactions are never faulted.
 #pragma once
 
 #include <cstdint>

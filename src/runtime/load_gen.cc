@@ -139,6 +139,7 @@ OpenLoopResult RunOpenLoop(
       }
     }
   }
+  result.arrival_window_us = ElapsedUs(epoch);
   admission.Close();
   for (std::thread& t : executors) t.join();
 

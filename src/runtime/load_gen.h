@@ -56,6 +56,9 @@ struct OpenLoopResult {
   /// Completion time of the last executed txn, microseconds after `epoch`
   /// (0 when nothing executed): the open-loop wall clock, teardown excluded.
   uint64_t last_completion_us = 0;
+  /// When the arrival thread finished pushing or shedding the last arrival,
+  /// microseconds after `epoch`: the window over which load was offered.
+  uint64_t arrival_window_us = 0;
 };
 
 /// Runs the trace of `total_txns` transactions through the open-loop driver:

@@ -43,10 +43,11 @@ ShardedDatabase::ShardedDatabase(const Database& db,
       assignment_[t][r] = p;
     }
   }
+  BuildEncodedRows();
 }
 
 void ShardedDatabase::BuildEncodedRows() {
-  if (!encoded_rows_.empty()) return;
+  if (!encoded_arenas_.empty()) return;
   const size_t num_tables = db_->schema().num_tables();
   // One arena per shard + one for replicated tuples: a pinned worker (or a
   // forked shard server) touching only its own shard's rows stays within

@@ -1,8 +1,9 @@
 // Materialized physical layout of a partitioning solution: which tuples live
-// on which shard. Partitioned tuples are placed on exactly one shard;
-// replicated tuples (kReplicated) are copied to every shard, which is what
-// makes their reads local and their writes distributed. Immutable after
-// construction, so lookups are safe from any thread without locking.
+// on which shard, and every stored tuple's encoded bytes. Partitioned tuples
+// are placed on exactly one shard; replicated tuples (kReplicated) are copied
+// to every shard, which is what makes their reads local and their writes
+// distributed. Immutable after construction, so lookups are safe from any
+// thread without locking, and forked shard servers inherit it copy-on-write.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +19,10 @@ namespace jecb {
 
 class ShardedDatabase {
  public:
-  /// Scans every stored tuple once and assigns it via `solution`. Tuples
-  /// whose placement cannot be resolved (kUnknownPartition, e.g. dangling
-  /// FKs) are pinned to a deterministic fallback shard and counted.
+  /// Scans every stored tuple once, assigns it via `solution` and encodes
+  /// it into the encoded-row store. Tuples whose placement cannot be
+  /// resolved (kUnknownPartition, e.g. dangling FKs) are pinned to a
+  /// deterministic fallback shard and counted.
   ShardedDatabase(const Database& db, const DatabaseSolution& solution);
 
   int32_t num_shards() const { return static_cast<int32_t>(shards_.size()); }
@@ -55,36 +57,16 @@ class ShardedDatabase {
   /// Coefficient of variation of per-shard tuple counts (storage skew).
   double StorageSkew() const;
 
-  /// The backing storage this layout was materialized from. Shard-server
-  /// children reach rows through this after fork (copy-on-write snapshot);
-  /// the exchange path materializes tuple bytes from it. Never null; the
-  /// caller of the constructor owns the Database and must outlive this.
-  const Database& db() const { return *db_; }
-
-  /// Builds the per-shard encoded-row store (RuntimeOptions::arena_tuples):
-  /// every stored tuple's EncodeRowBytes form, written once into one
-  /// bump-pointer arena per shard (replicated tuples into a shared extra
-  /// arena). Idempotent; NOT thread-safe — call before workers start or
-  /// before forking shard servers, after which the arenas are immutable and
-  /// children inherit them copy-on-write. Exchange assembly then serves
-  /// views into the arenas instead of heap-allocating a string per row.
+  /// The per-shard encoded-row store: every stored tuple's EncodeRowBytes
+  /// form, written once into one bump-pointer arena per shard (replicated
+  /// tuples into a shared extra arena). The constructor builds it; a later
+  /// call is a no-op. Exchange assembly serves views into the arenas
+  /// instead of encoding a row per access.
   void BuildEncodedRows();
-  bool has_encoded_rows() const { return !encoded_rows_.empty(); }
 
-  /// Pre-encoded bytes of `t`; empty view when the store was not built.
-  /// Views stay valid for the ShardedDatabase's lifetime (arenas are never
-  /// Reset once published).
+  /// Pre-encoded bytes of `t`; valid for the ShardedDatabase's lifetime.
   std::string_view EncodedRow(TupleId t) const {
-    if (encoded_rows_.empty()) return {};
     return encoded_rows_[t.table][t.row];
-  }
-
-  /// Bytes held by shard `s`'s encoded-row arena (index num_shards() = the
-  /// replicated-tuple arena); 0 before BuildEncodedRows.
-  uint64_t encoded_arena_bytes(int32_t s) const {
-    return encoded_arenas_.empty()
-               ? 0
-               : encoded_arenas_[static_cast<size_t>(s)].bytes_allocated();
   }
 
   std::string Describe() const;
@@ -95,12 +77,13 @@ class ShardedDatabase {
     std::vector<uint64_t> per_table_count;
   };
 
+  /// Owned by the constructor's caller, which must outlive this.
   const Database* db_ = nullptr;
   std::vector<Shard> shards_;
   /// assignment_[table][row]: owning shard, or kReplicated.
   std::vector<std::vector<int32_t>> assignment_;
   /// Encoded-row store: one arena per shard + one for replicated tuples;
-  /// encoded_rows_[table][row] views into them. Empty until BuildEncodedRows.
+  /// encoded_rows_[table][row] views into them.
   std::vector<Arena> encoded_arenas_;
   std::vector<std::vector<std::string_view>> encoded_rows_;
   uint64_t base_tuples_ = 0;

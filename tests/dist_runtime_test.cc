@@ -196,9 +196,23 @@ TEST(DistRuntimeTest, SocketTransportReportsWireAccounting) {
 
   EXPECT_EQ(r.transport, TransportKind::kUnixSocket);
   const TransportCounters& c = r.transport_counters;
-  // Every local txn is one Execute/Ack pair; every 2PC participant costs a
-  // Prepare/Vote plus a Commit/Ack — so traffic must dominate txn count.
-  EXPECT_GT(c.messages_sent, r.total_txns);
+  // The coordinators' exact frame budget in a fault-free replay: one Execute
+  // per local txn, one Prepare and one Commit per 2PC participant, and one
+  // kShutdown per shard — plus at most one lazy Hello per (session, shard).
+  uint64_t local = 0;
+  uint64_t participants = 0;
+  for (const ClassifiedTxn& ct : ClassifyTrace(*b.db, solution, b.trace)) {
+    if (ct.RequiresTwoPhaseCommit()) {
+      participants += ct.participants.size();
+    } else {
+      ++local;
+    }
+  }
+  const uint64_t shards = 4;
+  const uint64_t clients = 4;
+  const uint64_t floor = local + 2 * participants + shards;
+  EXPECT_GE(c.messages_sent, floor);
+  EXPECT_LE(c.messages_sent, floor + clients * shards);
   EXPECT_GT(c.messages_received, r.total_txns);
   EXPECT_GT(c.bytes_sent, c.messages_sent * net::kFrameHeaderBytes);
   EXPECT_GT(c.bytes_received, 0u);

@@ -8,8 +8,10 @@
 //     bit-for-bit across 1/4/8 clients and the inproc/unix/tcp backends;
 //   - the shed conservation invariant total = committed + failed + shed
 //     holds under a saturating target with a tiny admission queue;
-//   - pin_threads and arena_tuples are performance-only: signatures (and
-//     the exchange payload digest) are identical with them on or off;
+//   - offered_tps reports the arrival rate even when service lags far
+//     behind the schedule;
+//   - pin_threads is performance-only: signatures are identical with it on
+//     or off;
 //   - the sysfs topology parser golden-tests against a fabricated tree and
 //     degrades to the flat fallback when the tree is absent;
 //   - WorkQueue::TryPush never blocks, and Arena allocation/Reset obey the
@@ -180,6 +182,27 @@ TEST(OpenLoopReplayTest, ShedConservationUnderSaturation) {
   EXPECT_LT(r.committed, r.total_txns);
 }
 
+// Offered load is the arrival rate, not throughput: service (one client,
+// 500 us per transaction) is ten times slower than the schedule, so the
+// replay ends long after the last arrival, yet offered_tps must still
+// report what the arrival thread pushed.
+TEST(OpenLoopReplayTest, OfferedLoadIsTheArrivalRateUnderOverload) {
+  WorkloadBundle bundle = SmallTpcc(200);
+  DatabaseSolution solution = MixedSolution(*bundle.db, 2);
+
+  RuntimeOptions opt = FastOptions(TransportKind::kInProcess, 1);
+  opt.local_work_us = 500;
+  opt.target_tps = 20000.0;
+  opt.arrival = ArrivalProcess::kFixedRate;
+  opt.admission_queue_depth = 0;
+  ReplayReport r = RunReplay(bundle, solution, opt, "overload");
+
+  EXPECT_EQ(r.shed, 0u);
+  EXPECT_EQ(r.total_txns, 200u);
+  EXPECT_LT(r.goodput_tps, 0.5 * opt.target_tps) << "the run must be overloaded";
+  EXPECT_GE(r.offered_tps, 0.8 * opt.target_tps);
+}
+
 TEST(OpenLoopReplayTest, FixedRateAndPoissonBothReproduceClosedLoop) {
   WorkloadBundle bundle = SmallTpcc(150);
   DatabaseSolution solution = MixedSolution(*bundle.db, 2);
@@ -221,33 +244,6 @@ TEST(TopologyRuntimeTest, PinningNeverChangesOutcomes) {
         }
         EXPECT_TRUE(r.topology.pinned);
       }
-    }
-  }
-}
-
-TEST(TopologyRuntimeTest, ArenaStoreKeepsExchangeDigestAndSignature) {
-  WorkloadBundle bundle = SmallTpcc(200);
-  DatabaseSolution solution = MixedSolution(*bundle.db, 2);
-  uint64_t want_sig = 0;
-  uint64_t want_digest = 0;
-  bool first = true;
-  for (TransportKind transport :
-       {TransportKind::kInProcess, TransportKind::kUnixSocket}) {
-    for (bool arena : {true, false}) {
-      RuntimeOptions opt = FastOptions(transport, 4);
-      opt.arena_tuples = arena;
-      ReplayReport r = RunReplay(bundle, solution, opt, "arena");
-      if (first) {
-        want_sig = r.OutcomeSignature();
-        want_digest = r.exchange_digest;
-        first = false;
-        EXPECT_GT(r.exchange_txns, 0u);
-      }
-      EXPECT_EQ(r.OutcomeSignature(), want_sig)
-          << "transport=" << TransportKindName(transport)
-          << " arena=" << arena;
-      EXPECT_EQ(r.exchange_digest, want_digest)
-          << "arena-backed rows must encode bit-identically";
     }
   }
 }

@@ -11,8 +11,9 @@
 
 #include "partition/evaluator.h"
 #include "partition/router.h"
-#include "runtime/metrics.h"
 #include "dist/replay.h"
+#include "runtime/exchange.h"
+#include "runtime/metrics.h"
 #include "runtime/sharded_database.h"
 #include "workloads/tpcc.h"
 
@@ -62,7 +63,8 @@ TEST(RuntimeShardedDatabaseTest, PartitionedTuplesLiveOnExactlyOneShard) {
   for (int32_t s = 0; s < 4; ++s) stored += sharded.shard_tuples(s);
   EXPECT_EQ(stored, b.db->TotalRows());
 
-  // Every tuple is on its primary shard and nowhere else.
+  // Every tuple is on its primary shard and nowhere else, and its stored
+  // bytes are exactly its row encoding.
   for (TableId t = 0; t < b.db->schema().num_tables(); ++t) {
     for (RowId r = 0; r < b.db->table_data(t).num_rows(); ++r) {
       TupleId id{t, r};
@@ -72,6 +74,7 @@ TEST(RuntimeShardedDatabaseTest, PartitionedTuplesLiveOnExactlyOneShard) {
       for (int32_t s = 0; s < 4; ++s) {
         EXPECT_EQ(sharded.Contains(s, id), s == home);
       }
+      ASSERT_EQ(sharded.EncodedRow(id), EncodeRowBytes(b.db->table_data(t).row(r)));
     }
   }
 }
@@ -89,6 +92,18 @@ TEST(RuntimeShardedDatabaseTest, ReplicatedTablesCopyToAllShards) {
     EXPECT_EQ(sharded.shard_table_tuples(s, wh), warehouses);
     for (RowId r = 0; r < warehouses; ++r) {
       EXPECT_TRUE(sharded.Contains(s, TupleId{wh, static_cast<RowId>(r)}));
+    }
+  }
+  // The constructor built the encoded-row store; a second build is a no-op
+  // that keeps every view valid.
+  const char* first_row = sharded.EncodedRow(TupleId{wh, 0}).data();
+  sharded.BuildEncodedRows();
+  EXPECT_EQ(sharded.EncodedRow(TupleId{wh, 0}).data(), first_row);
+  // Replicated and partitioned tuples alike store exactly their row encoding.
+  for (TableId t = 0; t < b.db->schema().num_tables(); ++t) {
+    for (RowId r = 0; r < b.db->table_data(t).num_rows(); ++r) {
+      ASSERT_EQ(sharded.EncodedRow(TupleId{t, r}),
+                EncodeRowBytes(b.db->table_data(t).row(r)));
     }
   }
 }
