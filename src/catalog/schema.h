@@ -82,7 +82,13 @@ struct ForeignKey {
   std::vector<ColumnIdx> columns;
   TableId ref_table = 0;
   std::vector<ColumnIdx> ref_columns;
+
+  bool operator==(const ForeignKey&) const = default;
 };
+
+/// Index of a ForeignKey within Schema::foreign_keys(); stable across schema
+/// copies, unlike pointers.
+using FkIdx = uint32_t;
 
 /// A database schema: tables plus the foreign-key graph.
 class Schema {

@@ -30,7 +30,7 @@ std::vector<net::TupleBatchMsg> BuildTupleBatches(
     for (size_t i = spans[s].first; i < spans[s].second; ++i) {
       batch.entries.push_back({static_cast<uint32_t>(entries[i].tuple.table),
                                static_cast<uint64_t>(entries[i].tuple.row),
-                               std::string(entries[i].bytes)});
+                               entries[i].bytes});
     }
     batches.push_back(std::move(batch));
   }
@@ -123,7 +123,7 @@ void ExchangeClient::ConnectAll() {
 
 std::vector<net::TupleBatchEntry> ExchangeClient::Pull(
     int32_t owner, uint64_t txn_id, uint32_t attempt,
-    const std::vector<net::WireAccess>& reads) {
+    const std::vector<net::WireAccess>& reads, std::deque<Frame>* frames) {
   FaultyChannel& ch = channels_[static_cast<size_t>(owner)];
   ch.TouchForTxn(txn_id);
   ch.EnsureConnected();
@@ -141,7 +141,8 @@ std::vector<net::TupleBatchEntry> ExchangeClient::Pull(
   entries.reserve(reads.size());
   uint32_t expect_index = 0;
   for (;;) {
-    Frame frame = ch.RecvType(MsgType::kTupleBatch);
+    // Decoded from the frame's place in `frames`, which never moves it.
+    const Frame& frame = frames->emplace_back(ch.RecvType(MsgType::kTupleBatch));
     net::TupleBatchMsg batch;
     if (!batch.Decode(frame.payload)) {
       TransportPanic("exchange", owner, Status::Internal("bad TupleBatchMsg"));
@@ -151,9 +152,7 @@ std::vector<net::TupleBatchEntry> ExchangeClient::Pull(
                      Status::Internal("tuple batch stream out of order"));
     }
     ++expect_index;
-    for (net::TupleBatchEntry& e : batch.entries) {
-      entries.push_back(std::move(e));
-    }
+    entries.insert(entries.end(), batch.entries.begin(), batch.entries.end());
     if (batch.last != 0) break;
   }
   if (entries.size() != reads.size()) {

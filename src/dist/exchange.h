@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -111,10 +112,12 @@ class ExchangeClient {
   /// Pulls `reads` (all owned by `owner`) for (txn_id, attempt). Blocks
   /// until the full batch stream arrives; panics (killing the shard child,
   /// which surfaces as an abnormal exit) on truncation or txn mismatch.
-  /// Returns entries in request order.
+  /// Returns entries in request order, viewing the received frames, which
+  /// are appended to `frames`: the caller keeps them while it uses the
+  /// entries (a deque never moves its elements, so the views stay valid).
   std::vector<net::TupleBatchEntry> Pull(
       int32_t owner, uint64_t txn_id, uint32_t attempt,
-      const std::vector<net::WireAccess>& reads);
+      const std::vector<net::WireAccess>& reads, std::deque<net::Frame>* frames);
 
   /// Requests sent, fault events, bytes — folded into ShardStatsMsg's
   /// exchange tail by the owning ShardServer.

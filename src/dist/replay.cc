@@ -553,11 +553,9 @@ ReplayReport Replay(const Database& db, const DatabaseSolution& solution,
                     const Trace& trace, const RuntimeOptions& options,
                     std::string label) {
   TraceRecorder& rec = TraceRecorder::Default();
-  // Phase A (single-threaded): resolve placements — this also warms the
-  // solution's per-tuple memo caches so the parallel replay phase is pure
-  // cache hits — and materialize the shard layout with its encoded-row
-  // store, here, before the transport forks, so shard-server children
-  // inherit both copy-on-write.
+  // Phase A (single-threaded): resolve placements and materialize the shard
+  // layout with its encoded-row store, here, before the transport forks, so
+  // shard-server children inherit both copy-on-write.
   std::vector<ClassifiedTxn> classified = ClassifyTrace(db, solution, trace);
   const uint64_t layout_ts = rec.enabled() ? rec.NowUs() : 0;
   ShardedDatabase sharded(db, solution);

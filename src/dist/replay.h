@@ -30,8 +30,8 @@ namespace jecb {
 class MetricsRegistry;
 
 /// Resolves each transaction's participant shards and static classification.
-/// Single-threaded by design: it warms the solution's per-tuple memo caches
-/// before any worker thread runs, so the replay phase is pure cache hits.
+/// Replay() calls it once, before any worker thread runs or the transport
+/// forks, so the replay phase only reads its output.
 std::vector<ClassifiedTxn> ClassifyTrace(const Database& db,
                                          const DatabaseSolution& solution,
                                          const Trace& trace);

@@ -1,6 +1,7 @@
 #include "dist/shard_server.h"
 
 #include <cstdlib>
+#include <deque>
 #include <string>
 #include <utility>
 
@@ -239,8 +240,8 @@ void ShardServer::StreamAssembledReads(EventLoop& loop, int64_t peer,
   // Partition the read set by owner, preserving access order within each
   // owner. Rows this shard stores (own or replicated copies) are viewed in
   // the encoded-row store; the rest are pulled from their owners' data
-  // planes in ascending shard order and viewed in `pulled`, which outlives
-  // the entries.
+  // planes in ascending shard order and viewed in the received `frames`,
+  // which outlive the entries.
   std::vector<std::vector<size_t>> remote_pos(
       static_cast<size_t>(sharded_.num_shards()));
   for (size_t i = 0; i < reads.size(); ++i) {
@@ -253,15 +254,15 @@ void ShardServer::StreamAssembledReads(EventLoop& loop, int64_t peer,
       remote_pos[static_cast<size_t>(owner)].push_back(i);
     }
   }
-  std::vector<std::vector<net::TupleBatchEntry>> pulled(remote_pos.size());
+  std::deque<net::Frame> frames;
   for (int32_t owner = 0; owner < sharded_.num_shards(); ++owner) {
     const std::vector<size_t>& pos = remote_pos[static_cast<size_t>(owner)];
     if (pos.empty()) continue;
     std::vector<net::WireAccess> want;
     want.reserve(pos.size());
     for (size_t i : pos) want.push_back(reads[i]);
-    std::vector<net::TupleBatchEntry>& rows = pulled[static_cast<size_t>(owner)];
-    rows = client_.Pull(owner, frag.txn_id, frag.attempt, want);
+    const std::vector<net::TupleBatchEntry> rows =
+        client_.Pull(owner, frag.txn_id, frag.attempt, want, &frames);
     for (size_t j = 0; j < pos.size(); ++j) {
       entries[pos[j]] = {TupleId{static_cast<TableId>(rows[j].table),
                                  static_cast<RowId>(rows[j].row)},

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <thread>
 #include <utility>
 
@@ -612,15 +613,17 @@ void SocketChannel::CommitHomeAndCollect(const ClassifiedTxn& txn,
 
   // Collect the assembled read set: zero or more in-order kTupleBatch
   // frames, terminated by the CommitAck (a read-free txn streams nothing, so
-  // the terminator doubles as the empty-stream case). The decoded batches
-  // stay alive while the entries view their bytes.
+  // the terminator doubles as the empty-stream case). The batches' entries
+  // view the frames, which stay in place in the deque while they are used.
+  std::deque<Frame> frames;
   std::vector<net::TupleBatchMsg> batches;
   for (;;) {
     Frame frame = ch.RecvAny();
     if (frame.type == MsgType::kCommitAck) break;
     if (frame.type != MsgType::kTupleBatch) continue;  // stray: skip
+    frames.push_back(std::move(frame));
     net::TupleBatchMsg& batch = batches.emplace_back();
-    if (!batch.Decode(frame.payload)) {
+    if (!batch.Decode(frames.back().payload)) {
       TransportPanic("exchange", txn.home,
                      Status::Internal("bad TupleBatchMsg"));
     }

@@ -51,12 +51,10 @@ Result<HorticultureResult> Horticulture::Partition(Database* db,
   auto replicated = std::make_shared<ReplicatedTable>();
 
   // One partitioner per (table, column), shared by every design that picks
-  // it: the per-tuple memo inside JoinPathPartitioner warms across the whole
-  // search instead of restarting cold on every trial, and identical designs
-  // materialize to pointer-identical solutions (which is what lets the delta
-  // evaluator's DiffTables see "unchanged" as a pointer comparison).
-  // PartitionOf is a pure function of the tuple, so sharing cannot change
-  // any EvalResult.
+  // it, so identical designs materialize to pointer-identical solutions
+  // (which is what lets the delta evaluator's DiffTables see "unchanged" as
+  // a pointer comparison). PartitionOf is a pure function of the tuple, so
+  // sharing cannot change any EvalResult.
   std::vector<std::vector<std::shared_ptr<const TablePartitioner>>> col_parts(
       schema.num_tables());
   for (TableId t : partitioned) {

@@ -19,8 +19,8 @@ namespace {
 
 /// Resolves one join tree's root values for the SoA accesses of a FlatTrace
 /// through the class's shared JoinPathResolver. Construction binds each
-/// covered table to its shared path cache once, so the per-access hot path
-/// is an array index plus a flat-table probe.
+/// covered table to its shared path handle once, so the per-access hot path
+/// is an array index plus a foreign-key array walk.
 class TreeResolver {
  public:
   TreeResolver(const Database& db, const FlatTrace& flat, const JoinTree& tree,
@@ -46,7 +46,7 @@ class TreeResolver {
     out->clear();
     for (const PackedAccess a : flat_.accesses(txn)) {
       const TupleId tuple = flat_.tuple(a.tuple_index());
-      JoinPathResolver::PathCache* cache = per_table_[tuple.table];
+      const JoinPathResolver::PathCache* cache = per_table_[tuple.table];
       if (cache == nullptr) continue;
       const Value* v = cache->Resolve(tuple.row);
       if (v == nullptr) return false;
@@ -60,7 +60,7 @@ class TreeResolver {
 
  private:
   const FlatTrace& flat_;
-  std::vector<JoinPathResolver::PathCache*> per_table_;
+  std::vector<const JoinPathResolver::PathCache*> per_table_;
 };
 
 /// Compacted, class-local copy of one training view's accesses, built once
@@ -127,10 +127,9 @@ class ClassSlice {
 /// Dense integer view of join-path resolutions for one class: per distinct
 /// path, one value id per class-local tuple, drawn from one shared
 /// dictionary so id equality is Value equality across *different* paths of
-/// the same tree. An array fills eagerly through the shared JoinPathResolver
-/// the first time a tree uses its path (resolution stays once-per-(path,
-/// row) for the class — every slice tuple of the source table is scanned by
-/// any tree covering that table, so nothing is resolved speculatively).
+/// the same tree. An array fills eagerly the first time a tree uses its path
+/// (every slice tuple of the source table is scanned by any tree covering
+/// that table, so nothing is resolved speculatively).
 class ValueIdScan {
  public:
   // Ids: kFailed marks a resolution failure (dangling FK); real value ids
@@ -144,38 +143,30 @@ class ValueIdScan {
 
   /// The id array of `path` (one slot per class-local tuple; slots of other
   /// tables stay 0 and are never read). The fill walks each source tuple's
-  /// hop chain through the resolver's per-FK edge memo, then maps the final
-  /// (destination column, row) to a value id through a per-column memo — the
-  /// Value itself is hashed into the shared dictionary only once per
-  /// distinct destination row, not once per source tuple.
+  /// hop chain through the foreign-key arrays, then maps the final
+  /// (destination column, row) to a value id through a per-column array
+  /// indexed by row — the Value itself is hashed into the shared dictionary
+  /// only once per distinct destination row, not once per source tuple.
   const std::vector<uint32_t>* Ids(const JoinPath& path) {
-    JoinPathResolver::PathCache* cache = resolver_->Cache(path);
-    auto [it, fresh] = arrays_.try_emplace(cache);
+    auto [it, fresh] = arrays_.try_emplace(resolver_->Cache(path));
     if (fresh) {
       std::vector<uint32_t>& ids = it->second;
       ids.assign(slice_->num_tuples(), 0);
-      // Value ids of one destination column, memoized by final row.
-      // (FkRowCache is just a flat u32 -> u32 memo; here the mapped value
-      // is a dictionary id rather than a row.)
       const uint64_t col_key = (static_cast<uint64_t>(path.dest.table) << 32) |
                                path.dest.column;
-      FkRowCache& col_ids = column_ids_[col_key];
+      std::vector<uint32_t>& col_ids = column_ids_[col_key];  // 0 = no id yet
+      if (col_ids.empty()) col_ids.assign(db_.table_data(path.dest.table).num_rows(), 0);
       for (uint32_t lt : slice_->TuplesOfTable(path.source_table)) {
-        RowId cur = flat_.tuple(slice_->global_tuple(lt)).row;
-        for (FkIdx idx : path.hops) {
-          cur = resolver_->FollowCached(idx, cur);
-          if (cur == FkRowCache::kDangling) break;
-        }
-        if (cur == FkRowCache::kDangling) {
+        const RowId dest = path.DestRow(db_, flat_.tuple(slice_->global_tuple(lt)).row);
+        if (dest == kNoRow) {
           ids[lt] = kFailed;
           continue;
         }
-        uint32_t id = 0;
-        if (!col_ids.Find(cur, &id)) {
-          const Value& v = db_.GetValue({path.dest.table, cur}, path.dest.column);
+        uint32_t& id = col_ids[dest];
+        if (id == 0) {
+          const Value& v = db_.GetValue({path.dest.table, dest}, path.dest.column);
           const uint32_t next = kFirstId + static_cast<uint32_t>(dict_.size());
           id = dict_.try_emplace(v, next).first->second;
-          col_ids.Insert(cur, id);
         }
         ids[lt] = id;
       }
@@ -193,7 +184,7 @@ class ValueIdScan {
   const ClassSlice* slice_;
   JoinPathResolver* resolver_;
   std::unordered_map<Value, uint32_t, ValueHashFunctor> dict_;
-  std::unordered_map<uint64_t, FkRowCache> column_ids_;  // (table, col) -> row -> id
+  std::unordered_map<uint64_t, std::vector<uint32_t>> column_ids_;  // (table, col) -> row -> id
   std::unordered_map<JoinPathResolver::PathCache*, std::vector<uint32_t>> arrays_;
 };
 
@@ -466,7 +457,7 @@ Result<ClassSolution> ClassPartitioner::StatsFallback(const JoinTree& tree,
 
   // One validation pass costs all three mapping candidates: the root-value
   // resolution is mapping-independent, so lookup/hash/range share it
-  // instead of each rebuilding the cache from scratch.
+  // instead of each resolving the validation view again.
   const std::vector<double> costs =
       scan.CostMappings(tree, options_.max_values_per_txn,
                         {lookup_mapping.get(), &hash_mapping, &range_mapping});

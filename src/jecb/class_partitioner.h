@@ -81,10 +81,10 @@ class ClassPartitioner {
 
   /// Runs Phase 2 for one class over a zero-copy view of the shared
   /// FlatTrace; `class_view` must contain only this class's transactions.
-  /// `resolver` carries the class's join-path resolution cache across every
+  /// `resolver` gives each distinct join path one handle across every
   /// enumerated tree and every metric (fit measuring, mapping costing,
-  /// statistics fallback), so each distinct tuple is join-extended once per
-  /// distinct path instead of once per tree per metric.
+  /// statistics fallback), which keys the per-path fit memo and value-id
+  /// arrays.
   ClassPartitioningResult Partition(const JoinGraph& graph, const TraceView& class_view,
                                     JoinPathResolver* resolver,
                                     const std::string& name, uint32_t class_id,

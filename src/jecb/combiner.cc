@@ -228,10 +228,11 @@ Result<DatabaseSolution> Combiner::Combine(
     }
 
     // One partitioner object per (table, choice, mapping), shared by every
-    // combination (and worker thread) that picks it: the ConcurrentTupleCache
-    // memo inside each JoinPathPartitioner then warms across combinations
-    // instead of being rebuilt per scored solution. PartitionOf is a pure
-    // function of the tuple, so sharing cannot change any EvalResult.
+    // combination (and worker thread) that picks it, so identical choices
+    // materialize to pointer-identical table partitioners (which is what
+    // lets the delta evaluator's DiffTables see "unchanged" as a pointer
+    // comparison). PartitionOf is a pure function of the tuple, so sharing
+    // cannot change any EvalResult.
     auto replicated = std::make_shared<ReplicatedTable>();
     std::vector<std::vector<std::vector<std::shared_ptr<const TablePartitioner>>>>
         shared_parts(partitioned.size());

@@ -71,8 +71,8 @@ Result<JecbResult> Jecb::Partition(Database* db,
   }
 
   // The trace is flattened once up front; Phase 2 then hands each class a
-  // zero-copy view plus its own join-path resolution cache, and Phase 3
-  // reuses the same FlatTrace for resolve-once scoring.
+  // zero-copy view plus its own join-path resolver, and Phase 3 reuses the
+  // same FlatTrace for resolve-once scoring.
   const uint64_t flat_ts = rec.enabled() ? rec.NowUs() : 0;
   const FlatTrace flat = FlatTrace::FromTrace(training_trace);
   if (rec.enabled()) {
@@ -106,8 +106,8 @@ Result<JecbResult> Jecb::Partition(Database* db,
                          ? 0.0
                          : static_cast<double>(class_view.size()) /
                                static_cast<double>(training_trace.size());
-        // One resolver per class: caches stay core-local under the pool and
-        // are shared across every tree/metric of this class.
+        // One resolver per class, shared across every tree/metric of this
+        // class; it is not thread-safe, so classes never share one.
         JoinPathResolver resolver(db);
         classes[cls] =
             class_partitioner.Partition(graph, class_view, &resolver, name,

@@ -360,8 +360,8 @@ bool TupleBatchMsg::Decode(std::string_view payload) {
     uint32_t len = 0;
     if (!r.U32(&e.table) || !r.U64(&e.row) || !r.U32(&len)) return false;
     if (len > r.remaining()) return false;
-    if (!r.Bytes(&e.bytes, len)) return false;
-    entries.push_back(std::move(e));
+    if (!r.View(&e.bytes, len)) return false;
+    entries.push_back(e);
   }
   return r.AtEnd();
 }

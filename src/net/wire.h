@@ -98,8 +98,16 @@ class WireReader {
   bool U64(uint64_t* v) { return ReadLE(v, 8); }
   /// Copies exactly `len` raw bytes into `*out` (replacing its contents).
   bool Bytes(std::string* out, size_t len) {
+    std::string_view view;
+    if (!View(&view, len)) return false;
+    out->assign(view);
+    return true;
+  }
+  /// Views exactly `len` raw bytes of the payload without copying them; the
+  /// view lives as long as the payload the reader was built on.
+  bool View(std::string_view* out, size_t len) {
     if (data_.size() - pos_ < len) return false;
-    out->assign(data_.data() + pos_, len);
+    *out = data_.substr(pos_, len);
     pos_ += len;
     return true;
   }
@@ -291,15 +299,19 @@ struct ExchangeMsg {
 
 /// One entry of a tuple batch: a materialized row, encoded by
 /// runtime/exchange.h's EncodeRowBytes. Wire cost: 16 bytes + the row bytes.
+/// Non-owning: a sender's bytes live in the encoded-row store or in frames
+/// it received; a decoded entry views the payload it was decoded from.
 struct TupleBatchEntry {
   uint32_t table = 0;
   uint64_t row = 0;
-  std::string bytes;
+  std::string_view bytes;
 };
 
 /// Data plane: one bounded batch of materialized rows. A multi-batch
 /// response sets `last` only on the final batch; `batch_index` increases
-/// from 0 so the receiver can detect a truncated stream.
+/// from 0 so the receiver can detect a truncated stream. Decode makes the
+/// entries view `payload`, so the caller keeps the payload alive (and in
+/// place) for as long as it uses them.
 struct TupleBatchMsg {
   uint8_t version = kExchangeVersion;
   uint64_t txn_id = 0;

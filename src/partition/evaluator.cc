@@ -289,8 +289,8 @@ EvalResult Evaluate(const Database& db, const DatabaseSolution& solution,
     return EvaluateRange(db, solution, trace, 0, n);
   }
 
-  // Oversplit relative to the worker count so a straggler chunk (hot memo
-  // misses) cannot serialize the pass; merge order is by chunk index.
+  // Oversplit relative to the worker count so a straggler chunk (long
+  // transactions) cannot serialize the pass; merge order is by chunk index.
   const size_t num_chunks =
       std::min(n, static_cast<size_t>(pool->num_threads()) * 4);
   const size_t chunk_size = (n + num_chunks - 1) / num_chunks;

@@ -46,12 +46,9 @@ Result<Value> JoinPath::Evaluate(const Database& db, TupleId tuple) const {
   if (tuple.table != source_table) {
     return Status::InvalidArgument("tuple is not from the path's source table");
   }
-  TupleId cur = tuple;
-  for (FkIdx idx : hops) {
-    const ForeignKey& fk = db.schema().foreign_keys()[idx];
-    JECB_ASSIGN_OR_RETURN(cur, db.FollowForeignKey(fk, cur));
-  }
-  return db.GetValue(cur, dest.column);
+  const RowId row = DestRow(db, tuple.row);
+  if (row == kNoRow) return Status::NotFound("join path dangles");
+  return db.GetValue({dest.table, row}, dest.column);
 }
 
 Result<JoinPath> ConcatPaths(const Schema& schema, const JoinPath& base,

@@ -14,10 +14,6 @@
 
 namespace jecb {
 
-/// Index of a ForeignKey within Schema::foreign_keys(); stable across schema
-/// copies, unlike pointers.
-using FkIdx = uint32_t;
-
 /// A join path p(key(T), X): start at `source_table`, follow `hops` (each a
 /// child->parent foreign key), and read column `dest` of the final table.
 /// An empty hop list means X is a column of T itself.
@@ -43,6 +39,16 @@ struct JoinPath {
   /// Evaluates the functional dependency for a stored tuple of the source
   /// table; NotFound when a foreign key dangles.
   Result<Value> Evaluate(const Database& db, TupleId tuple) const;
+
+  /// The row of the destination table that stored `row` of the source table
+  /// reaches across `hops`, or kNoRow when a foreign key dangles on the way.
+  RowId DestRow(const Database& db, RowId row) const {
+    for (FkIdx idx : hops) {
+      row = db.ParentRow(idx, row);
+      if (row == kNoRow) break;
+    }
+    return row;
+  }
 
   /// The table that `dest` belongs to.
   TableId dest_table() const { return dest.table; }

@@ -22,8 +22,7 @@ namespace jecb {
 /// Thread-safe: lazy table construction is serialized behind a mutex and a
 /// built table is immutable, so concurrent RouteValue calls are fine. Call
 /// Warm() with the attributes a workload routes on before spawning worker
-/// threads to keep the full-table scan (which faults in the solution's
-/// per-tuple memo caches) out of the parallel phase.
+/// threads to keep the full-table scan out of the parallel phase.
 class Router {
  public:
   Router(const Database* db, const DatabaseSolution* solution)

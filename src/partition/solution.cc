@@ -3,10 +3,10 @@
 namespace jecb {
 
 int32_t JoinPathPartitioner::PartitionOf(const Database& db, TupleId tuple) const {
-  return cache_.GetOrCompute(tuple, [&](TupleId t) {
-    Result<Value> v = path_.Evaluate(db, t);
-    return v.ok() ? mapping_->Map(v.value()) : kUnknownPartition;
-  });
+  if (tuple.table != path_.source_table) return kUnknownPartition;
+  const RowId row = path_.DestRow(db, tuple.row);
+  if (row == kNoRow) return kUnknownPartition;
+  return mapping_->Map(db.GetValue({path_.dest.table, row}, path_.dest.column));
 }
 
 std::string JoinPathPartitioner::Describe(const Schema& schema) const {
@@ -23,10 +23,8 @@ DatabaseSolution MakeNaiveHashSolution(const Database& db, int32_t num_partition
       if (pk.empty()) {
         h = HashInt64(tuple.row);
       } else {
-        Row key;
-        key.reserve(pk.size());
-        for (ColumnIdx c : pk) key.push_back(d.GetValue(tuple, c));
-        h = RowHash{}(key);
+        h = RowHash::kSeed;  // RowHash of the PK values, without building the Row
+        for (ColumnIdx c : pk) h = HashCombine(h, d.GetValue(tuple, c).Hash());
       }
       return static_cast<int32_t>(h % static_cast<uint64_t>(num_partitions));
     };

@@ -11,7 +11,6 @@
 
 #include "partition/join_path.h"
 #include "partition/mapping.h"
-#include "partition/tuple_cache.h"
 #include "storage/database.h"
 
 namespace jecb {
@@ -36,10 +35,9 @@ class ReplicatedTable : public TablePartitioner {
 };
 
 /// Definition 10: a join path from the table to a partitioning attribute
-/// plus a mapping function over that attribute. Evaluation results are
-/// memoized per tuple: join paths are functional, so the cache is sound.
-/// The memo is thread-safe (striped locks) so one solution can be shared by
-/// the parallel evaluator's worker threads.
+/// plus a mapping function over that attribute. PartitionOf walks the path
+/// through the database's foreign-key arrays and keeps no state, so one
+/// solution can be shared by the parallel evaluator's worker threads.
 class JoinPathPartitioner : public TablePartitioner {
  public:
   JoinPathPartitioner(JoinPath path, std::shared_ptr<const MappingFunction> mapping)
@@ -54,14 +52,12 @@ class JoinPathPartitioner : public TablePartitioner {
  private:
   JoinPath path_;
   std::shared_ptr<const MappingFunction> mapping_;
-  ConcurrentTupleCache cache_;
 };
 
 /// Wraps an arbitrary tuple -> partition function (used by the Schism
-/// baseline's per-table classifiers). Results are memoized per tuple, which
-/// is sound because placement functions are deterministic over stored rows.
-/// Thread-safe like JoinPathPartitioner; `fn` itself must be safe to call
-/// concurrently (the stock classifiers only read the database).
+/// baseline's per-table classifiers and the naive hash layout). `fn` must be
+/// deterministic over stored rows and safe to call concurrently (the stock
+/// classifiers only read the database).
 class CallbackPartitioner : public TablePartitioner {
  public:
   using Fn = std::function<int32_t(const Database&, TupleId)>;
@@ -69,14 +65,13 @@ class CallbackPartitioner : public TablePartitioner {
       : fn_(std::move(fn)), description_(std::move(description)) {}
 
   int32_t PartitionOf(const Database& db, TupleId tuple) const override {
-    return cache_.GetOrCompute(tuple, [&](TupleId t) { return fn_(db, t); });
+    return fn_(db, tuple);
   }
   std::string Describe(const Schema&) const override { return description_; }
 
  private:
   Fn fn_;
   std::string description_;
-  ConcurrentTupleCache cache_;
 };
 
 /// Definition 11: a solution for the whole database — one TablePartitioner

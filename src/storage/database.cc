@@ -1,5 +1,7 @@
 #include "storage/database.h"
 
+#include <algorithm>
+
 namespace jecb {
 
 Row TableData::ExtractKey(const Row& row, const std::vector<ColumnIdx>& cols) const {
@@ -69,7 +71,9 @@ Result<RowId> TableData::LookupUnique(const std::vector<ColumnIdx>& key_cols,
   return it->second;
 }
 
-Database::Database(Schema schema) : schema_(std::move(schema)) {
+Database::Database(Schema schema)
+    : schema_(std::move(schema)),
+      parents_(std::make_unique<ParentIndex[]>(schema_.foreign_keys().size())) {
   data_.reserve(schema_.num_tables());
   for (size_t i = 0; i < schema_.num_tables(); ++i) {
     data_.emplace_back(&schema_.table(static_cast<TableId>(i)));
@@ -87,20 +91,50 @@ TupleId Database::MustInsert(std::string_view table, Row row) {
 Result<TupleId> Database::Insert(TableId table, Row row) {
   if (table >= data_.size()) return Status::OutOfRange("bad table id");
   JECB_ASSIGN_OR_RETURN(RowId rid, data_[table].Insert(std::move(row)));
+  // A new row can be a child without an entry or the parent a dangling key
+  // was missing: every built array is stale.
+  if (any_parent_index_) {
+    for (size_t i = 0; i < schema_.foreign_keys().size(); ++i) {
+      parents_[i].ready.store(false, std::memory_order_relaxed);
+    }
+    any_parent_index_ = false;
+  }
   return TupleId{table, rid};
+}
+
+void Database::BuildParentIndex(FkIdx fk_idx) const {
+  std::lock_guard<std::mutex> lock(parents_mu_);
+  ParentIndex& index = parents_[fk_idx];
+  if (index.ready.load(std::memory_order_relaxed)) return;  // built by a racer
+  const ForeignKey& fk = schema_.foreign_keys()[fk_idx];
+  const TableData& child = data_[fk.table];
+  const TableData& parent = data_[fk.ref_table];
+  index.rows.assign(child.num_rows(), kNoRow);
+  Row key(fk.columns.size());
+  for (RowId r = 0; r < child.num_rows(); ++r) {
+    for (size_t i = 0; i < fk.columns.size(); ++i) key[i] = child.At(r, fk.columns[i]);
+    Result<RowId> p = parent.LookupUnique(fk.ref_columns, key);
+    if (p.ok()) index.rows[r] = p.value();
+  }
+  any_parent_index_ = true;
+  index.ready.store(true, std::memory_order_release);
 }
 
 Result<TupleId> Database::FollowForeignKey(const ForeignKey& fk, TupleId from) const {
   if (from.table != fk.table) {
     return Status::InvalidArgument("tuple is not in the FK's child table");
   }
-  const TableData& child = data_[fk.table];
-  Row key;
-  key.reserve(fk.columns.size());
-  for (ColumnIdx c : fk.columns) key.push_back(child.At(from.row, c));
-  const TableData& parent = data_[fk.ref_table];
-  JECB_ASSIGN_OR_RETURN(RowId rid, parent.LookupUnique(fk.ref_columns, key));
-  return TupleId{fk.ref_table, rid};
+  const std::vector<ForeignKey>& fks = schema_.foreign_keys();
+  const auto it = std::find(fks.begin(), fks.end(), fk);
+  if (it == fks.end()) {
+    return Status::InvalidArgument("foreign key is not declared in the schema");
+  }
+  const RowId parent = ParentRow(static_cast<FkIdx>(it - fks.begin()), from.row);
+  if (parent == kNoRow) {
+    return Status::NotFound("dangling foreign key from " + schema_.table(fk.table).name +
+                            " row " + std::to_string(from.row));
+  }
+  return TupleId{fk.ref_table, parent};
 }
 
 size_t Database::TotalRows() const {

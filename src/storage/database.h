@@ -4,7 +4,10 @@
 // tuples a transaction touches.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -15,6 +18,9 @@
 namespace jecb {
 
 using RowId = uint32_t;
+
+/// No row: what a dangling foreign key leads to.
+inline constexpr RowId kNoRow = UINT32_MAX;
 
 /// Identity of one stored tuple; the unit the workload trace records.
 struct TupleId {
@@ -70,6 +76,13 @@ class TableData {
 };
 
 /// A populated database: schema + data + FK navigation.
+///
+/// Foreign keys are followed through one dense array per foreign key that
+/// maps each child row to its parent row (kNoRow when the key dangles). An
+/// array is built from the unique-key index on its first use after the last
+/// Insert and is read-only after that, so any number of threads may follow
+/// foreign keys at once. Inserts must not run concurrently with reads; all
+/// foreign keys must be declared in the schema the Database is built from.
 class Database {
  public:
   explicit Database(Schema schema);
@@ -88,8 +101,20 @@ class Database {
   Result<TupleId> Insert(TableId table, Row row);
 
   /// Follows a foreign key from a stored tuple to its parent tuple.
-  /// Fails with NotFound if the parent is absent (dangling FK).
+  /// Fails with InvalidArgument if `from` is not in the FK's child table (or
+  /// the FK is not one of this schema's), and with NotFound if the parent is
+  /// absent (dangling FK).
   Result<TupleId> FollowForeignKey(const ForeignKey& fk, TupleId from) const;
+
+  /// The parent row that `row` of foreign key `fk`'s child table references,
+  /// or kNoRow when the key dangles. `row` must be a stored row of the child
+  /// table. Thread-safe; the first call per foreign key after an insert
+  /// builds that key's array.
+  RowId ParentRow(FkIdx fk, RowId row) const {
+    const ParentIndex& index = parents_[fk];
+    if (!index.ready.load(std::memory_order_acquire)) BuildParentIndex(fk);
+    return index.rows[row];
+  }
 
   /// Reads one column of a stored tuple.
   const Value& GetValue(TupleId id, ColumnIdx col) const {
@@ -100,8 +125,21 @@ class Database {
   size_t TotalRows() const;
 
  private:
+  /// The child-row -> parent-row array of one foreign key.
+  struct ParentIndex {
+    std::atomic<bool> ready{false};
+    std::vector<RowId> rows;
+  };
+
+  /// Fills `fk`'s array through the same LookupUnique probe a one-off
+  /// follow would make; serialized, so racing first uses build it once.
+  void BuildParentIndex(FkIdx fk) const;
+
   Schema schema_;
   std::vector<TableData> data_;
+  mutable std::mutex parents_mu_;
+  mutable std::unique_ptr<ParentIndex[]> parents_;  // one per schema FK
+  mutable bool any_parent_index_ = false;  // set under parents_mu_
 };
 
 }  // namespace jecb

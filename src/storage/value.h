@@ -58,8 +58,10 @@ class Value {
 using Row = std::vector<Value>;
 
 struct RowHash {
+  static constexpr uint64_t kSeed = 0x9ae16a3b2f90404fULL;
+
   size_t operator()(const Row& row) const {
-    uint64_t h = 0x9ae16a3b2f90404fULL;
+    uint64_t h = kSeed;
     for (const Value& v : row) h = HashCombine(h, v.Hash());
     return h;
   }

@@ -1,6 +1,6 @@
 #include "trace/flat_trace.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 namespace jecb {
 
@@ -8,26 +8,35 @@ FlatTrace FlatTrace::FromTrace(const Trace& trace) {
   FlatTrace out;
   out.class_names_ = trace.class_names();
 
+  // Trace rows are stored rows, so a per-table array sized by the largest
+  // row the trace touches interns every tuple with one index read.
   size_t total_accesses = 0;
+  std::vector<uint32_t> rows_of;  // per table: largest row touched + 1
   for (const Transaction& t : trace.transactions()) {
     total_accesses += t.accesses.size();
+    for (const Access& a : t.accesses) {
+      if (a.tuple.table >= rows_of.size()) rows_of.resize(a.tuple.table + 1, 0);
+      rows_of[a.tuple.table] = std::max(rows_of[a.tuple.table], a.tuple.row + 1);
+    }
   }
   out.accesses_.reserve(total_accesses);
   out.txn_offset_.reserve(trace.size() + 1);
   out.txn_class_.reserve(trace.size());
 
-  std::unordered_map<TupleId, uint32_t, TupleIdHash> intern;
-  intern.reserve(total_accesses / 4 + 16);
+  constexpr uint32_t kAbsent = UINT32_MAX;
+  std::vector<std::vector<uint32_t>> intern(rows_of.size());
+  for (size_t t = 0; t < rows_of.size(); ++t) intern[t].assign(rows_of[t], kAbsent);
 
   out.txn_offset_.push_back(0);
   for (const Transaction& t : trace.transactions()) {
     out.txn_class_.push_back(t.class_id);
     for (const Access& a : t.accesses) {
-      auto [it, inserted] =
-          intern.emplace(a.tuple, static_cast<uint32_t>(out.tuples_.size()));
-      if (inserted) out.tuples_.push_back(a.tuple);
-      out.accesses_.push_back(
-          {it->second | (a.write ? PackedAccess::kWriteBit : 0u)});
+      uint32_t& index = intern[a.tuple.table][a.tuple.row];
+      if (index == kAbsent) {
+        index = static_cast<uint32_t>(out.tuples_.size());
+        out.tuples_.push_back(a.tuple);
+      }
+      out.accesses_.push_back({index | (a.write ? PackedAccess::kWriteBit : 0u)});
     }
     out.txn_offset_.push_back(static_cast<uint32_t>(out.accesses_.size()));
   }

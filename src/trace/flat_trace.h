@@ -56,7 +56,9 @@ class FlatTrace {
  public:
   /// Converts a row-oriented trace: interns every distinct TupleId into the
   /// dictionary (first-touch order, so the layout is deterministic) and
-  /// packs the accesses contiguously.
+  /// packs the accesses contiguously. Interning indexes a per-table array
+  /// sized by the largest row id the trace touches, so rows should be stored
+  /// row ids (as every generator and trace_io produce), not arbitrary keys.
   static FlatTrace FromTrace(const Trace& trace);
 
   size_t size() const { return txn_class_.size(); }

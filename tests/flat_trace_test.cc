@@ -1,12 +1,14 @@
 // Parity contract of the columnar layout: FlatTrace/TraceView must mirror
-// the row-oriented Trace helpers exactly, the resolve-once Evaluate must be
-// bit-identical to the row-oriented Evaluate(Trace) oracle at every thread
-// count, and the shared JoinPathResolver must return the same values as
-// direct path evaluation.
+// the row-oriented Trace helpers exactly, the array-interned dictionary must
+// match hash interning, the resolve-once Evaluate must be bit-identical to
+// the row-oriented Evaluate(Trace) oracle at every thread count, and the
+// shared JoinPathResolver must return the same values as direct path
+// evaluation.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -18,6 +20,7 @@
 #include "workloads/synthetic.h"
 #include "workloads/tatp.h"
 #include "workloads/tpcc.h"
+#include "workloads/tpce.h"
 
 namespace jecb {
 namespace {
@@ -113,32 +116,49 @@ TEST(TraceViewTest, FilterSplitHeadMirrorTraceHelpers) {
   }
 }
 
-// ---- Resolver -------------------------------------------------------------
+// ---- Dictionary -----------------------------------------------------------
 
-TEST(RowValueCacheTest, FindInsertAndGrowthKeepStablePointers) {
-  RowValueCache cache;
-  const Value* missing = nullptr;
-  EXPECT_FALSE(cache.Find(0, &missing));
-
-  // Insert enough to force several growths; keep every returned pointer.
-  std::vector<const Value*> handles;
-  for (RowId r = 0; r < 500; ++r) {
-    handles.push_back(cache.Insert(r, Value(int64_t(r) * 3)));
+// The flat trace's dictionary against a hash-interned reference built here:
+// the same first-touch tuple order and the same packed access stream.
+void ExpectMatchesHashInterning(const Trace& trace) {
+  std::unordered_map<TupleId, uint32_t, TupleIdHash> intern;
+  std::vector<TupleId> tuples;
+  std::vector<uint32_t> packed;
+  for (const Transaction& t : trace.transactions()) {
+    for (const Access& a : t.accesses) {
+      auto [it, inserted] =
+          intern.emplace(a.tuple, static_cast<uint32_t>(tuples.size()));
+      if (inserted) tuples.push_back(a.tuple);
+      packed.push_back(it->second | (a.write ? PackedAccess::kWriteBit : 0u));
+    }
   }
-  cache.InsertFailure(1000);
-  EXPECT_EQ(cache.size(), 501u);
-
-  for (RowId r = 0; r < 500; ++r) {
-    const Value* v = nullptr;
-    ASSERT_TRUE(cache.Find(r, &v));
-    EXPECT_EQ(v, handles[r]);  // stable across growth
-    EXPECT_EQ(v->AsInt(), int64_t(r) * 3);
+  const FlatTrace flat = FlatTrace::FromTrace(trace);
+  EXPECT_EQ(flat.tuples(), tuples);
+  ASSERT_EQ(flat.size(), trace.size());
+  std::vector<uint32_t> got;
+  got.reserve(packed.size());
+  for (uint32_t t = 0; t < flat.size(); ++t) {
+    EXPECT_EQ(flat.class_of(t), trace.transactions()[t].class_id);
+    for (const PackedAccess a : flat.accesses(t)) got.push_back(a.bits);
   }
-  const Value* failed = reinterpret_cast<const Value*>(0x1);
-  ASSERT_TRUE(cache.Find(1000, &failed));
-  EXPECT_EQ(failed, nullptr);  // remembered failure
-  EXPECT_FALSE(cache.Find(501, &failed));
+  EXPECT_EQ(got, packed);
 }
+
+TEST(FlatTraceDictionaryTest, TpccMatchesHashInterning) {
+  ExpectMatchesHashInterning(TpccWorkload().Make(3000, 21).trace);
+}
+
+TEST(FlatTraceDictionaryTest, TpceMatchesHashInterning) {
+  TpceConfig config;
+  config.customers = 200;
+  ExpectMatchesHashInterning(TpceWorkload(config).Make(3000, 22).trace);
+}
+
+TEST(FlatTraceDictionaryTest, SyntheticMatchesHashInterning) {
+  ExpectMatchesHashInterning(SyntheticWorkload().Make(3000, 23).trace);
+}
+
+// ---- Resolver -------------------------------------------------------------
 
 TEST(JoinPathResolverTest, SharesCachesByPathAndMatchesDirectEvaluation) {
   testing::CustInfoDb fixture = testing::MakeCustInfoDb();
@@ -172,10 +192,9 @@ TEST(JoinPathResolverTest, SharesCachesByPathAndMatchesDirectEvaluation) {
     Result<Value> direct = to_customer.Evaluate(db, t);
     ASSERT_TRUE(direct.ok());
     EXPECT_EQ(*v, direct.value());
-    // Second resolve: cached, same handle.
+    // Second resolve: the same stored value.
     EXPECT_EQ(cache->Resolve(t.row), v);
   }
-  EXPECT_EQ(cache->resolved(), fixture.trades.size());
 }
 
 // ---- Evaluator ------------------------------------------------------------

@@ -157,9 +157,10 @@ TEST(WireTest, TupleBatchMsgRoundTripAndRejectsLyingCounts) {
   batch.source_shard = 2;
   batch.batch_index = 3;
   batch.last = 0;
-  batch.entries = {{1, 100, std::string("\x00\x01\x02", 3)},
-                   {2, 200, ""},
-                   {3, 300, std::string(500, 'z')}};
+  // Entries view their bytes, so the rows are owned here.
+  const std::string row0("\x00\x01\x02", 3);
+  const std::string row2(500, 'z');
+  batch.entries = {{1, 100, row0}, {2, 200, ""}, {3, 300, row2}};
   std::string good = batch.Encode();
   TupleBatchMsg out;
   ASSERT_TRUE(out.Decode(good));

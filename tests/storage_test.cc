@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "storage/database.h"
 #include "test_util.h"
+#include "workloads/tpcc.h"
 
 namespace jecb {
 namespace {
@@ -120,6 +124,41 @@ TEST_F(DatabaseTest, FollowDanglingForeignKey) {
   auto parent = db().FollowForeignKey(*fk, dangling);
   EXPECT_FALSE(parent.ok());
   EXPECT_EQ(parent.status().code(), StatusCode::kNotFound);
+  const FkIdx idx = static_cast<FkIdx>(fk - db().schema().foreign_keys().data());
+  EXPECT_EQ(db().ParentRow(idx, dangling.row), kNoRow);
+  // Its neighbours still resolve.
+  EXPECT_NE(db().ParentRow(idx, fixture_.trades[0].row), kNoRow);
+}
+
+TEST_F(DatabaseTest, ForeignKeyOutsideTheSchemaRejected) {
+  const Schema& schema = db().schema();
+  TableId trade = schema.FindTable("TRADE").value();
+  ForeignKey other = *schema.ForeignKeysFrom(trade)[0];
+  other.ref_columns = {1};  // CUSTOMER_ACCOUNT.CA_C_ID: not a declared FK
+  auto parent = db().FollowForeignKey(other, fixture_.trades[0]);
+  EXPECT_EQ(parent.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The arrays are built on first use; an insert after that must be seen,
+// both as a new child row and as the parent a dangling key was missing.
+TEST_F(DatabaseTest, InsertAfterFirstUseIsSeen) {
+  const Schema& schema = db().schema();
+  TableId trade = schema.FindTable("TRADE").value();
+  TableId account = schema.FindTable("CUSTOMER_ACCOUNT").value();
+  const ForeignKey& fk = *schema.ForeignKeysFrom(trade)[0];
+  ASSERT_TRUE(db().FollowForeignKey(fk, fixture_.trades[0]).ok());  // first use
+
+  TupleId child = db().Insert(trade, {Value(77), Value(55), Value(1)}).value();
+  auto missing = db().FollowForeignKey(fk, child);
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+
+  TupleId parent = db().Insert(account, {Value(55), Value(2)}).value();
+  auto found = db().FollowForeignKey(fk, child);
+  ASSERT_TRUE(found.ok());
+  EXPECT_EQ(found.value(), parent);
+  // Rows resolved before the inserts still resolve the same way.
+  EXPECT_EQ(db().FollowForeignKey(fk, fixture_.trades[1]).value(),
+            fixture_.accounts[1]);
 }
 
 TEST_F(DatabaseTest, TotalRows) {
@@ -135,6 +174,45 @@ TEST_F(DatabaseTest, ReferentialIntegrityHolds) {
       EXPECT_TRUE(db().FollowForeignKey(fk, TupleId{fk.table, r}).ok())
           << schema.table(fk.table).name << " row " << r;
     }
+  }
+}
+
+// Every (foreign key, child row) answer of a database, in FK order.
+std::vector<RowId> AllParentRows(const Database& db, FkIdx first) {
+  const std::vector<ForeignKey>& fks = db.schema().foreign_keys();
+  std::vector<RowId> out;
+  for (size_t i = 0; i < fks.size(); ++i) {
+    const FkIdx f = static_cast<FkIdx>((first + i) % fks.size());
+    for (RowId r = 0; r < db.table_data(fks[f].table).num_rows(); ++r) {
+      out.push_back(db.ParentRow(f, r));
+    }
+  }
+  return out;
+}
+
+// Several threads race the first use of every foreign key of a fresh
+// database, each starting at a different key; every answer must match a
+// serial run over an identically generated database.
+TEST(DatabaseRaceTest, RacingFirstUsesMatchSerialAnswers) {
+  TpccConfig config;
+  config.warehouses = 2;
+  const WorkloadBundle serial = TpccWorkload(config).Make(10, 5);
+  const WorkloadBundle raced = TpccWorkload(config).Make(10, 5);
+  const size_t num_fks = serial.db->schema().foreign_keys().size();
+  ASSERT_GT(num_fks, 1u);
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<RowId>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      got[i] = AllParentRows(*raced.db, static_cast<FkIdx>(i % num_fks));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(got[i], AllParentRows(*serial.db, static_cast<FkIdx>(i % num_fks)))
+        << "thread " << i;
   }
 }
 

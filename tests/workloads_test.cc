@@ -69,14 +69,24 @@ TEST_P(WorkloadPropertyTest, DeterministicForSeed) {
   EXPECT_EQ(a.db->TotalRows(), b.db->TotalRows());
 }
 
+// Also the dense foreign-key array parity: every entry of every FK's
+// child-row -> parent-row array equals the unique-key lookup of the child's
+// FK columns, and is kNoRow exactly when that lookup fails.
 TEST_P(WorkloadPropertyTest, ReferentialIntegrityOfPopulatedData) {
   WorkloadBundle b = Make(600);
   const Schema& schema = b.db->schema();
-  for (const ForeignKey& fk : schema.foreign_keys()) {
+  for (FkIdx f = 0; f < schema.foreign_keys().size(); ++f) {
+    const ForeignKey& fk = schema.foreign_keys()[f];
     const TableData& child = b.db->table_data(fk.table);
+    const TableData& parent = b.db->table_data(fk.ref_table);
     for (RowId r = 0; r < child.num_rows(); ++r) {
       ASSERT_TRUE(b.db->FollowForeignKey(fk, TupleId{fk.table, r}).ok())
           << schema.table(fk.table).name << " row " << r << " dangling";
+      Row key;
+      for (ColumnIdx c : fk.columns) key.push_back(child.At(r, c));
+      const Result<RowId> want = parent.LookupUnique(fk.ref_columns, key);
+      ASSERT_EQ(b.db->ParentRow(f, r), want.ok() ? want.value() : kNoRow)
+          << schema.table(fk.table).name << " row " << r << " fk " << f;
     }
   }
 }
