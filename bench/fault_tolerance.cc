@@ -39,7 +39,6 @@ RuntimeOptions BaseOptions(int clients) {
   opt.local_work_us = 2;
   opt.round_trip_us = 60;
   opt.lock_hold_us = 2;
-  opt.max_queue_depth = 64;  // stalls backpressure instead of queueing forever
   return opt;
 }
 

@@ -1,11 +1,11 @@
 // Minimal tour of the execution runtime: partition a small TPC-C database
-// with JECB, replay the workload through the multi-threaded shard executor
-// (first fault-free, then under a deterministic fault plan with 2PC
-// prepare rejections, shard stalls, and transient shard-down windows), and
-// print the measured reports (the JSON line is what the bench harness
-// writes to BENCH_throughput_tpcc.json).
+// with JECB, replay the workload from four client threads that lock the
+// shards they touch (first fault-free, then under a deterministic fault
+// plan with 2PC prepare rejections, shard stalls, and transient shard-down
+// windows), and print the measured reports (the JSON line is what the
+// bench harness writes to BENCH_throughput_tpcc.json).
 // Pass --trace_out trace.json to capture the per-txn replay timelines
-// (queue wait, execution, 2PC prepare/commit rounds, retries, fault
+// (shard lock wait, execution, 2PC prepare/commit rounds, retries, fault
 // instants) as a Chrome trace, and --metrics_out metrics.prom for a
 // Prometheus dump of both replays' counters and latency histograms.
 // Pass --transport unix (or tcp) to run the same replay through the real
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   ropt.round_trip_us = 100;
   // --target_tps switches the replay from closed-loop clients to the
   // open-loop arrival schedule (see runtime/load_gen.h); --pin_threads pins
-  // shard workers (and forked shard servers) to distinct physical cores.
+  // forked shard servers to distinct physical cores (a no-op in-process).
   ropt.target_tps = target_tps;
   ropt.pin_threads = pin_threads;
   ReplayReport report =

@@ -9,26 +9,18 @@ Arena::Arena(size_t block_bytes)
     : block_bytes_(std::max<size_t>(block_bytes, 64)) {}
 
 Arena::Block& Arena::GrowFor(size_t bytes) {
-  // After Reset, already-reserved blocks are reused before growing. A block
-  // that cannot fit the request (oversized allocation) is skipped, not
-  // split: returned memory must be contiguous.
-  while (active_ + 1 < blocks_.size()) {
-    Block& next = blocks_[++active_];
-    if (next.size - next.used >= bytes) return next;
-  }
   Block block;
   block.size = std::max(block_bytes_, bytes);
   block.data = std::make_unique<char[]>(block.size);
   reserved_ += block.size;
   blocks_.push_back(std::move(block));
-  active_ = blocks_.size() - 1;
   return blocks_.back();
 }
 
 char* Arena::Allocate(size_t bytes, size_t align) {
   if (align == 0) align = 1;
   if (blocks_.empty()) GrowFor(std::max(bytes, size_t{1}));
-  Block* block = &blocks_[active_];
+  Block* block = &blocks_.back();
   size_t aligned = (block->used + align - 1) & ~(align - 1);
   if (aligned + bytes > block->size) {
     block = &GrowFor(bytes + align);
@@ -45,12 +37,6 @@ std::string_view Arena::CopyString(std::string_view s) {
   char* dst = Allocate(s.size(), /*align=*/1);
   std::memcpy(dst, s.data(), s.size());
   return std::string_view(dst, s.size());
-}
-
-void Arena::Reset() {
-  for (Block& block : blocks_) block.used = 0;
-  allocated_ = 0;
-  active_ = 0;
 }
 
 }  // namespace jecb

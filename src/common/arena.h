@@ -1,18 +1,15 @@
 // Bump-pointer arena: block-chained, alignment-aware, no per-allocation
 // bookkeeping. The runtime keeps one arena per shard to back the encoded
-// tuple store and exchange batch assembly, replacing the per-row
-// heap-allocated std::strings on the execution hot path.
+// tuple store (runtime/sharded_database.h), replacing per-row
+// heap-allocated std::strings on the exchange path.
 //
-// Ownership/reset rules (see DESIGN "Open-loop load & CPU topology"):
+// Ownership rules (see DESIGN "Open-loop load & CPU topology"):
 //   - An arena is single-writer. Per-shard arenas are filled once, before
-//     workers (or forked shard servers) start, then read concurrently —
-//     reads of arena-backed bytes need no lock because the memory is
-//     immutable from that point on.
-//   - Reset() rewinds every block to empty but keeps the capacity, so a
-//     reusing writer (scratch assembly) pays no allocator traffic in steady
-//     state. Reset invalidates every pointer previously handed out; callers
-//     that publish views into an arena must never Reset it while readers
-//     exist.
+//     client threads (or forked shard servers) start, then read
+//     concurrently — reads of arena-backed bytes need no lock because the
+//     memory is immutable from that point on.
+//   - Memory lives as long as the arena: nothing is freed or reused before
+//     it is destroyed, so every pointer it hands out stays valid until then.
 //   - Allocations larger than the block size get a dedicated block; they do
 //     not split across blocks (returned memory is always contiguous).
 #pragma once
@@ -43,11 +40,7 @@ class Arena {
   /// Copies `s` into the arena and returns a view of the stable copy.
   std::string_view CopyString(std::string_view s);
 
-  /// Rewinds every block to empty, keeping the reserved capacity.
-  /// Invalidates all previously returned pointers/views.
-  void Reset();
-
-  /// Bytes handed out since construction/Reset (excludes alignment waste).
+  /// Bytes handed out since construction (excludes alignment waste).
   size_t bytes_allocated() const { return allocated_; }
   /// Total capacity currently held across blocks.
   size_t bytes_reserved() const { return reserved_; }
@@ -66,8 +59,6 @@ class Arena {
   size_t block_bytes_;
   size_t allocated_ = 0;
   size_t reserved_ = 0;
-  /// Index of the block currently being filled (Reset reuses from 0).
-  size_t active_ = 0;
 };
 
 }  // namespace jecb

@@ -224,38 +224,21 @@ std::vector<int32_t> BuildPinPlan(const CpuTopology& topo, int32_t num_workers) 
   return plan;
 }
 
-bool PinCurrentThreadToCpu(int32_t cpu) {
+bool PinCurrentProcessToCpu(int32_t cpu) {
 #if defined(__linux__)
   if (cpu < 0 || cpu >= CPU_SETSIZE) return false;
   cpu_set_t set;
   CPU_ZERO(&set);
   CPU_SET(cpu, &set);
-  // pid 0 = the calling thread on Linux.
+  // sched_setaffinity(0, ...) pins the calling thread only; called while
+  // the process is still single-threaded (right after fork, before the
+  // shard server spawns its exchange thread), every future thread inherits
+  // the mask, which is how one call covers the whole child.
   return sched_setaffinity(0, sizeof(set), &set) == 0;
 #else
   (void)cpu;
   return false;
 #endif
-}
-
-bool PinCurrentProcessToCpu(int32_t cpu) {
-  // sched_setaffinity is per-thread on Linux; calling it while the process
-  // is still single-threaded (right after fork, before the shard server
-  // spawns its exchange thread) makes every future thread inherit the mask,
-  // which is how one call covers the whole child.
-  return PinCurrentThreadToCpu(cpu);
-}
-
-ContextSwitchCounts ThreadContextSwitches() {
-  ContextSwitchCounts out;
-#if defined(__linux__) && defined(RUSAGE_THREAD)
-  struct rusage usage;
-  if (getrusage(RUSAGE_THREAD, &usage) == 0) {
-    out.voluntary = static_cast<uint64_t>(usage.ru_nvcsw);
-    out.involuntary = static_cast<uint64_t>(usage.ru_nivcsw);
-  }
-#endif
-  return out;
 }
 
 ContextSwitchCounts ProcessContextSwitches() {

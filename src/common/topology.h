@@ -1,4 +1,4 @@
-// CPU topology map + thread pinning + hardware counters: the substrate the
+// CPU topology map + process pinning + hardware counters: the substrate the
 // topology-aware runtime (RuntimeOptions::pin_threads) stands on.
 //
 // Detection reads the Linux sysfs tree (/sys/devices/system/cpu,
@@ -67,20 +67,19 @@ std::vector<int32_t> ParseCpuList(std::string_view text);
 /// num_workers > 0 (the fallback topology still has >= 1 cpu).
 std::vector<int32_t> BuildPinPlan(const CpuTopology& topo, int32_t num_workers);
 
-/// Pins the calling thread / the whole calling process (all its threads,
-/// present and future) to one logical cpu. Returns false when the platform
-/// lacks sched_setaffinity or the kernel refuses (restricted cpuset) — the
-/// caller keeps running unpinned; pinning is best-effort by design.
-bool PinCurrentThreadToCpu(int32_t cpu);
+/// Pins the calling process to one logical cpu. Call it while the process
+/// is still single-threaded: every thread it starts afterwards inherits the
+/// mask. Returns false when the platform lacks sched_setaffinity or the
+/// kernel refuses (restricted cpuset) — the caller keeps running unpinned;
+/// pinning is best-effort by design.
 bool PinCurrentProcessToCpu(int32_t cpu);
 
-/// getrusage-based context-switch counts. Thread scope needs RUSAGE_THREAD
-/// (Linux); elsewhere both return zeros.
+/// getrusage-based context-switch counts of the whole process (Linux);
+/// elsewhere both are zero.
 struct ContextSwitchCounts {
   uint64_t voluntary = 0;
   uint64_t involuntary = 0;
 };
-ContextSwitchCounts ThreadContextSwitches();
 ContextSwitchCounts ProcessContextSwitches();
 
 /// One-line machine fingerprint for bench output, e.g.

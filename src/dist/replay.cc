@@ -428,18 +428,18 @@ void ReplayReport::PublishTo(MetricsRegistry& registry) const {
     if (s.pinned_cpu >= 0) {
       registry
           .Gauge("jecb_shard_pinned_cpu" + slb,
-                 "Logical cpu the shard worker/server was pinned to")
+                 "Logical cpu the shard server was pinned to")
           .store(static_cast<double>(s.pinned_cpu),
                  std::memory_order_relaxed);
     }
     if (s.ctx_voluntary + s.ctx_involuntary > 0) {
       registry
           .Counter("jecb_shard_ctx_voluntary_total" + slb,
-                   "Voluntary context switches of the shard worker/server")
+                   "Voluntary context switches of the shard server")
           .store(s.ctx_voluntary, std::memory_order_relaxed);
       registry
           .Counter("jecb_shard_ctx_involuntary_total" + slb,
-                   "Involuntary context switches of the shard worker/server")
+                   "Involuntary context switches of the shard server")
           .store(s.ctx_involuntary, std::memory_order_relaxed);
     }
   }
@@ -666,9 +666,9 @@ ReplayReport Replay(const Database& db, const DatabaseSolution& solution,
   double wall = static_cast<double>(wall_us) / 1e6;
 
   // Graceful shutdown, strictly ordered: clients joined above -> Drain()
-  // quiesces the backend (queues drain and workers join in-process; shard
-  // processes serve their final frames, ship their stats and get reaped
-  // over sockets) -> only THEN the metrics snapshot. A snapshot taken any
+  // quiesces the backend (shard processes serve their final frames, ship
+  // their stats and get reaped over sockets; nothing is in flight
+  // in-process) -> only THEN the metrics snapshot. A snapshot taken any
   // earlier could miss completions still in flight inside the backend.
   {
     JECB_SPAN("runtime", "replay.drain");

@@ -1,17 +1,18 @@
 // Trace replay driver: classifies every trace transaction against a
 // solution, materializes the shard layout, and replays the workload through
-// an execution backend (in-process worker pool, or forked shard-server
-// processes over real sockets — see dist/transport.h) with closed-loop
-// client threads. The report carries throughput, the measured distributed
-// fraction (definitionally equal to the static evaluator's), per-shard load
-// and latency quantiles, wire-level transport accounting, and JSON /
-// Prometheus / ASCII exports for downstream plotting.
+// an execution backend (shard mutexes on the client threads in-process, or
+// forked shard-server processes over real sockets — see dist/transport.h)
+// with closed-loop client threads. The report carries throughput, the
+// measured distributed fraction (definitionally equal to the static
+// evaluator's), per-shard load and latency quantiles, wire-level transport
+// accounting, and JSON / Prometheus / ASCII exports for downstream plotting.
 //
 // Shutdown ordering (the contract every backend honors): client threads
-// join first, then Transport::Drain() quiesces the backend — in-process
-// queues drain and workers join; shard processes serve their last frames,
-// report their counters and exit — and only then is the metrics snapshot
-// taken. No late completion can ever be missing from the report.
+// join first, then Transport::Drain() quiesces the backend — shard
+// processes serve their last frames, report their counters and exit (the
+// in-process backend has nothing left in flight) — and only then is the
+// metrics snapshot taken. No late completion can ever be missing from the
+// report.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,7 @@ namespace jecb {
 class MetricsRegistry;
 
 /// Resolves each transaction's participant shards and static classification.
-/// Replay() calls it once, before any worker thread runs or the transport
+/// Replay() calls it once, before any client thread runs or the transport
 /// forks, so the replay phase only reads its output.
 std::vector<ClassifiedTxn> ClassifyTrace(const Database& db,
                                          const DatabaseSolution& solution,
@@ -60,9 +61,10 @@ struct ShardReport {
   /// same rows it would have shipped).
   uint64_t exchange_tuples_out = 0;
   uint64_t exchange_bytes_out = 0;
-  /// Topology block (pin_threads): logical cpu the shard's worker thread or
-  /// forked server process ran pinned to (-1 = unpinned), plus its getrusage
-  /// context-switch counts. Timing facts — never in OutcomeSignature().
+  /// Topology block (pin_threads): logical cpu the forked shard-server
+  /// process ran pinned to (-1 = unpinned, and always -1 in-process), plus
+  /// its getrusage context-switch counts. Timing facts — never in
+  /// OutcomeSignature().
   int32_t pinned_cpu = -1;
   uint64_t ctx_voluntary = 0;
   uint64_t ctx_involuntary = 0;
@@ -161,7 +163,7 @@ struct ReplayReport {
   /// Full bucket data behind the summaries above, kept so renderers
   /// (Prometheus histograms) and aggregation across runs never have to
   /// recompute from live atomics. Everything in this report comes from one
-  /// RuntimeMetrics::Snapshot() taken after workers joined, so ToJson(),
+  /// RuntimeMetrics::Snapshot() taken after Drain(), so ToJson(),
   /// ToPrometheus(), and ToAscii() always agree with each other.
   HistogramData local_hist;
   HistogramData distributed_hist;

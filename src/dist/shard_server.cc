@@ -287,6 +287,11 @@ void ShardServer::StreamAssembledReads(EventLoop& loop, int64_t peer,
 
 net::ShardStatsMsg ShardServer::Serve(net::Socket listener,
                                       net::Socket data_listener) {
+  // The forked child inherits the coordinator's registry (partitioner and
+  // replay counters); drop it, so the telemetry this shard ships carries
+  // only its own series. Still single-threaded here, and no code holds a
+  // metric reference across this call.
+  MetricsRegistry::Default().Reset();
   if (options_.pin_threads) {
     // Pin the whole child to its shard's planned cpu NOW, while still
     // single-threaded: the exchange node thread spawned below inherits the

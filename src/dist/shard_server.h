@@ -73,7 +73,8 @@ class ShardServer {
   /// Serves `listener` until a Shutdown frame or SIGTERM/SIGINT; when
   /// `data_listener` is valid it is served by the ExchangeNode thread for
   /// the same lifetime. Returns the final shard-side counters (also sent to
-  /// the Shutdown peer).
+  /// the Shutdown peer). Clears MetricsRegistry::Default() first, so call it
+  /// only in the forked shard process.
   net::ShardStatsMsg Serve(net::Socket listener,
                            net::Socket data_listener = net::Socket());
 

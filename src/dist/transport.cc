@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "dist/socket_transport.h"
+#include "obs/trace_recorder.h"
 #include "runtime/exchange.h"
 
 namespace jecb {
@@ -28,21 +29,48 @@ void TransportCounters::Merge(const TransportCounters& o) {
 
 namespace {
 
-/// The in-process ShardChannel: shard mutexes and simulated costs. A
-/// prepare takes the participant's lock and spins the prepare work under
-/// it; the locks stay held across the simulated vote round trip and are
-/// released before the exchange and the commit round trip. While a
-/// transaction holds a shard's lock, that shard's worker cannot execute
-/// local transactions.
+/// The in-process ShardChannel: shard mutexes and simulated costs, all on
+/// the calling client thread. An execute takes the home shard's lock and
+/// spins the local work under it. A prepare takes the participant's lock and
+/// spins the prepare work under it; the locks stay held across the simulated
+/// vote round trip and are released before the exchange and the commit
+/// round trip. While a transaction holds a shard's lock, no other
+/// transaction executes or prepares on that shard.
 class InProcessChannel : public ShardChannel {
  public:
-  InProcessChannel(ShardExecutor* executor, const FaultInjector& injector)
-      : executor_(executor),
+  InProcessChannel(const ShardedDatabase& sharded,
+                   const RuntimeOptions& options,
+                   std::vector<std::mutex>& shard_locks,
+                   const FaultInjector& injector, RuntimeMetrics* metrics)
+      : sharded_(sharded),
+        options_(options),
+        shard_locks_(shard_locks),
         injector_(injector.enabled() ? &injector : nullptr),
-        options_(executor->options()),
+        metrics_(metrics),
         prepare_us_(options_.local_work_us + options_.lock_hold_us) {}
 
-  void Execute(const ClassifiedTxn& txn) override { executor_->ExecuteLocal(txn); }
+  void Execute(const ClassifiedTxn& txn) override {
+    TraceRecorder& rec = TraceRecorder::Default();
+    const bool traced =
+        rec.enabled() && TxnTraceSampled(options_.faults.seed, txn.txn_id,
+                                         options_.trace_sample_rate);
+    const uint64_t wait_ts = traced ? rec.NowUs() : 0;
+    uint64_t exec_ts = 0;
+    uint64_t done_ts = 0;
+    {
+      std::lock_guard<std::mutex> guard(shard_locks_[txn.home]);
+      if (traced) exec_ts = rec.NowUs();
+      SimulateCpuWork(options_.local_work_us);
+      if (traced) done_ts = rec.NowUs();
+    }
+    if (traced) {
+      const int64_t tid = static_cast<int64_t>(txn.txn_id);
+      rec.Span("shard", "shard.lock_wait", wait_ts, exec_ts - wait_ts, "txn",
+               tid, "shard", txn.home);
+      rec.Span("shard", "shard.execute", exec_ts, done_ts - exec_ts, "txn",
+               tid, "shard", txn.home);
+    }
+  }
 
   Vote Prepare(const ClassifiedTxn& txn, uint32_t attempt,
                int32_t shard) override {
@@ -52,10 +80,10 @@ class InProcessChannel : public ShardChannel {
       vote.decision = Vote::kDown;
       return vote;
     }
-    held_.emplace_back(executor_->shard_lock(shard));
+    held_.emplace_back(shard_locks_[shard]);
     SimulateCpuWork(prepare_us_);
     if (injector_ && injector_->ShardStalls(txn.txn_id, attempt, shard)) {
-      // The stall holds the lock (blocking the worker) without burning CPU.
+      // The stall holds the lock (blocking the shard) without burning CPU.
       vote.stalled = true;
       SimulateNetworkDelay(injector_->plan().stall_us);
     }
@@ -77,8 +105,8 @@ class InProcessChannel : public ShardChannel {
     // the same entries and the same BuildExchangeOutcome accounting as the
     // socket backends' home-shard assembly.
     if (options_.exchange_enabled) {
-      AssembleLocalExchange(executor_->sharded_db(), txn,
-                            options_.exchange_batch_bytes, executor_->metrics());
+      AssembleLocalExchange(sharded_, txn, options_.exchange_batch_bytes,
+                            metrics_);
     }
     // Commit messages out, acks back: latency the client still observes,
     // but the shards are already free.
@@ -86,48 +114,56 @@ class InProcessChannel : public ShardChannel {
   }
 
  private:
-  ShardExecutor* executor_;
-  const FaultInjector* injector_;  ///< null when no fault is planned
+  const ShardedDatabase& sharded_;
   const RuntimeOptions& options_;
+  std::vector<std::mutex>& shard_locks_;
+  const FaultInjector* injector_;  ///< null when no fault is planned
+  RuntimeMetrics* metrics_;
   const uint32_t prepare_us_;
   std::vector<std::unique_lock<std::mutex>> held_;
 };
 
-/// The deterministic-test backend: the per-shard worker pool plus one
-/// InProcessChannel per session.
+/// The deterministic-test backend: one mutex per shard, shared by every
+/// session's InProcessChannel. It starts no thread, so there is nothing to
+/// bring up or drain: each transaction has finished when its session call
+/// returns.
 class InProcessTransport : public Transport {
  public:
   InProcessTransport(const ShardedDatabase& sharded,
                      const RuntimeOptions& options, RuntimeMetrics* metrics)
-      : executor_(sharded, options, metrics), injector_(options.faults) {}
+      : sharded_(sharded),
+        options_(options),
+        metrics_(metrics),
+        shard_locks_(static_cast<size_t>(sharded.num_shards())),
+        injector_(options.faults) {}
 
-  Status Start() override {
-    executor_.Start();
-    return Status::OK();
-  }
+  Status Start() override { return Status::OK(); }
 
   std::unique_ptr<TransportSession> NewSession(int /*client_id*/) override {
     return std::make_unique<TransportSession>(
-        std::make_unique<InProcessChannel>(&executor_, injector_),
-        executor_.sharded_db(), executor_.options(), injector_,
-        executor_.metrics());
+        std::make_unique<InProcessChannel>(sharded_, options_, shard_locks_,
+                                           injector_, metrics_),
+        sharded_, options_, injector_, metrics_);
   }
 
-  /// Closes the shard queues and joins every worker; queued transactions
-  /// all execute before this returns (WorkQueue drains on Close).
-  void Drain() override { executor_.Shutdown(); }
+  void Drain() override {}
 
   TransportReport Report() const override {
     TransportReport r;
     r.kind = TransportKind::kInProcess;
-    r.shard_rtt.resize(static_cast<size_t>(executor_.num_shards()));
+    r.shard_rtt.resize(shard_locks_.size());
     return r;
   }
 
   TransportKind kind() const override { return TransportKind::kInProcess; }
 
  private:
-  ShardExecutor executor_;
+  const ShardedDatabase& sharded_;
+  const RuntimeOptions options_;
+  RuntimeMetrics* metrics_;
+  /// Locked in ascending shard-id order by every 2PC attempt, which keeps
+  /// the in-process protocol deadlock-free.
+  std::vector<std::mutex> shard_locks_;
   FaultInjector injector_;
 };
 

@@ -3,7 +3,7 @@
 // transaction then goes through a TransportSession (runtime/coordinator.h),
 // the one 2PC coordinator. A backend only supplies the session's
 // ShardChannel: the in-process one locks shard mutexes and simulates costs
-// against the per-shard worker pool (the deterministic-test reference); the
+// on the calling client thread (the deterministic-test reference); the
 // socket one sends real 2PC message rounds to forked shard-server processes
 // (dist/socket_transport.h). Both feed the SAME RuntimeMetrics through the
 // SAME session code, which is what makes ReplayReport::OutcomeSignature()
@@ -13,9 +13,10 @@
 //   Start() -> NewSession() per client thread -> sessions destroyed ->
 //   Drain() -> metrics snapshot.
 // Drain() must not return until every submitted transaction's counters are
-// final and all backend resources (worker threads, shard processes, socket
-// files) are released — the graceful-shutdown ordering that guarantees late
-// completions are never dropped from the report.
+// final and all backend resources (shard processes, socket files) are
+// released — the graceful-shutdown ordering that guarantees late
+// completions are never dropped from the report. The in-process backend
+// starts no thread, so its Start() and Drain() have nothing to do.
 #pragma once
 
 #include <cstdint>
@@ -103,16 +104,18 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Brings the backend up (spawns worker threads / shard processes).
+  /// Brings the backend up (forks the socket backends' shard processes; a
+  /// no-op in-process).
   virtual Status Start() = 0;
 
   /// A session for one client thread. `client_id` identifies the client in
   /// handshakes and diagnostics. Only valid between Start() and Drain().
   virtual std::unique_ptr<TransportSession> NewSession(int client_id) = 0;
 
-  /// Quiesces and tears down the backend: drains queues, joins workers,
-  /// shuts down and reaps shard processes. Idempotent. Every counter is
-  /// final once this returns — call it BEFORE RuntimeMetrics::Snapshot().
+  /// Quiesces and tears down the backend: shuts down and reaps shard
+  /// processes (a no-op in-process, where every transaction has finished
+  /// when its session call returns). Idempotent. Every counter is final
+  /// once this returns — call it BEFORE RuntimeMetrics::Snapshot().
   virtual void Drain() = 0;
 
   /// Final transport accounting; meaningful after Drain().

@@ -27,7 +27,6 @@ bool TransportSession::Sampled(const ClassifiedTxn& txn) const {
 }
 
 void TransportSession::CountResidency(const ClassifiedTxn& txn) {
-  if (!options_.verify_residency) return;
   // Accesses whose owning shard is not a participant; replicated tuples are
   // resident everywhere. Lock-free: the shard layout is immutable.
   uint64_t faults = 0;

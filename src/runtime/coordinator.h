@@ -7,8 +7,8 @@
 // differs between backends sits behind ShardChannel, which has exactly two
 // implementations:
 //
-//   - in-process (dist/transport.cc): per-shard mutexes and worker threads,
-//     with simulated CPU work and network round trips;
+//   - in-process (dist/transport.cc): per-shard mutexes taken on the client
+//     thread, with simulated CPU work and network round trips;
 //   - socket (dist/socket_transport.cc): prepare/vote/commit/ack frames to
 //     forked shard-server processes over FaultyChannels.
 //

@@ -1,10 +1,11 @@
-// Partitioned execution engine of the in-process backend: one worker thread
-// per shard, fed through an MPSC work queue, executes single-partition
-// transactions under the shard's lock. Multi-partition transactions bypass
-// the queues: the client thread's TransportSession (runtime/coordinator.h)
-// takes the same per-shard locks through the in-process ShardChannel —
-// which is exactly how distributed transactions steal throughput from local
-// ones (paper Fig. 1).
+// The runtime's shared vocabulary: the backend Replay() drives
+// (TransportKind), the simulated cluster's knobs (RuntimeOptions), a
+// transaction resolved to its shards (ClassifiedTxn), and the simulated
+// costs. In-process, the client thread's TransportSession
+// (runtime/coordinator.h) locks the home shard of a single-partition
+// transaction, and every participant of a 2PC one, through the in-process
+// ShardChannel (dist/transport.cc) — which is exactly how distributed
+// transactions steal throughput from local ones (paper Fig. 1).
 //
 // Costs are simulated, not measured from real I/O: CPU work spins the clock
 // (it occupies the shard), network round trips sleep (they occupy nothing
@@ -13,20 +14,13 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <semaphore>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/hash.h"
-#include "obs/trace_recorder.h"
 #include "runtime/fault_injector.h"
-#include "runtime/metrics.h"
-#include "runtime/sharded_database.h"
-#include "runtime/work_queue.h"
 #include "trace/trace.h"
 
 namespace jecb {
@@ -38,7 +32,7 @@ namespace jecb {
 /// machinery, so ReplayReport::OutcomeSignature() is backend-invariant —
 /// the cross-backend correctness oracle tests/dist_runtime_test.cc asserts.
 enum class TransportKind : uint8_t {
-  kInProcess = 0,   ///< per-shard worker threads + simulated latencies
+  kInProcess = 0,   ///< shard mutexes on client threads + simulated costs
   kUnixSocket = 1,  ///< shard-per-process over Unix-domain sockets
   kTcpSocket = 2,   ///< shard-per-process over TCP loopback
 };
@@ -71,12 +65,6 @@ struct RuntimeOptions {
   uint32_t round_trip_us = 100;
   /// Extra shard-side lock hold during prepare (log flush, validation).
   uint32_t lock_hold_us = 0;
-  /// Check every access against the materialized shard layout and count
-  /// misplaced tuples in RuntimeMetrics::residency_faults.
-  bool verify_residency = true;
-  /// Per-shard work-queue depth cap; 0 = unbounded. With a cap, submitters
-  /// to a stalled shard block (backpressure) instead of growing the queue.
-  uint32_t max_queue_depth = 0;
   /// Coordination faults to inject on the 2PC path; disabled by default
   /// (all rates zero). See runtime/fault_injector.h for the determinism
   /// contract.
@@ -93,7 +81,7 @@ struct RuntimeOptions {
   /// values are how the tests force batches to straddle frame boundaries).
   uint32_t exchange_batch_bytes = 32 * 1024;
   /// Fraction of transactions that get a full per-txn span timeline
-  /// (enqueue -> queue wait -> execute -> 2PC rounds -> retries) when the
+  /// (shard lock wait -> execute -> 2PC rounds -> retries) when the
   /// TraceRecorder is enabled. The decision is a pure hash of
   /// (faults.seed, txn id) — the same txn ids are sampled at any client
   /// count, and sampling never alters execution (OutcomeSignature is
@@ -139,10 +127,11 @@ struct RuntimeOptions {
 
   // ---- CPU topology (src/common/topology.h) ----
 
-  /// Pin shard workers (in-process backend) and forked shard-server
-  /// children + their exchange threads (socket backends) to distinct
-  /// logical cpus, physical cores first (BuildPinPlan). Best-effort and
-  /// performance-only: outcomes are identical pinned or not.
+  /// Pin forked shard-server children + their exchange threads (socket
+  /// backends) to distinct logical cpus, physical cores first
+  /// (BuildPinPlan). Does nothing in-process, where transactions run on the
+  /// client threads. Best-effort and performance-only: outcomes are
+  /// identical pinned or not.
   bool pin_threads = false;
 };
 
@@ -200,63 +189,5 @@ inline uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
                                    std::chrono::steady_clock::now() - since)
                                    .count());
 }
-
-/// The shard worker pool. Thread-safe once Start() has returned.
-class ShardExecutor {
- public:
-  ShardExecutor(const ShardedDatabase& sharded_db, const RuntimeOptions& options,
-                RuntimeMetrics* metrics);
-  ~ShardExecutor();
-
-  ShardExecutor(const ShardExecutor&) = delete;
-  ShardExecutor& operator=(const ShardExecutor&) = delete;
-
-  /// Spawns one worker thread per shard.
-  void Start();
-
-  /// Runs a single-partition transaction on its home shard's worker and
-  /// blocks until the worker has executed it. Commit accounting is the
-  /// calling TransportSession's.
-  void ExecuteLocal(const ClassifiedTxn& txn);
-
-  /// Closes all queues and joins the workers. Idempotent; called by the
-  /// destructor if needed. Every queued transaction still executes.
-  void Shutdown();
-
-  /// Per-shard lock; the coordinator acquires these in ascending shard-id
-  /// order, which makes the 2PC simulation deadlock-free.
-  std::mutex& shard_lock(int32_t shard) { return shards_[shard]->lock; }
-
-  const ShardedDatabase& sharded_db() const { return sharded_db_; }
-  const RuntimeOptions& options() const { return options_; }
-  RuntimeMetrics* metrics() { return metrics_; }
-  int32_t num_shards() const { return sharded_db_.num_shards(); }
-
- private:
-  struct Job {
-    const ClassifiedTxn* txn = nullptr;
-    std::chrono::steady_clock::time_point enqueued;
-    /// Sampled-in for span emission (decided on the client thread so the
-    /// worker does not re-hash).
-    bool traced = false;
-    std::binary_semaphore done{0};
-  };
-
-  struct ShardState {
-    std::mutex lock;
-    WorkQueue<Job*> queue;
-    std::thread worker;
-  };
-
-  void WorkerLoop(int32_t shard_id);
-
-  const ShardedDatabase& sharded_db_;
-  RuntimeOptions options_;
-  RuntimeMetrics* metrics_;
-  std::vector<std::unique_ptr<ShardState>> shards_;
-  /// Shard -> logical cpu when options_.pin_threads; empty otherwise.
-  std::vector<int32_t> pin_plan_;
-  bool started_ = false;
-};
 
 }  // namespace jecb

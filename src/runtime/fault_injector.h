@@ -33,7 +33,8 @@ struct FaultPlan {
 
   /// (a) Shard stalls: a participant holds its lock for `stall_us` of extra
   /// simulated (non-CPU) time during prepare. Stalls slow the transaction
-  /// and backpressure the shard's worker; they never abort by themselves.
+  /// and backpressure every other client of the shard; they never abort by
+  /// themselves.
   double stall_rate = 0.0;
   uint32_t stall_us = 200;
 

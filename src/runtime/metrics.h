@@ -34,10 +34,10 @@ struct ShardMetrics {
   /// shard the bytes were pulled from), not the home that assembled them.
   std::atomic<uint64_t> exchange_tuples_out{0};
   std::atomic<uint64_t> exchange_bytes_out{0};
-  /// Topology block (pin_threads): the logical cpu the shard's worker (or
-  /// forked server process) was pinned to (-1 = unpinned), and the worker's
-  /// getrusage context-switch counts, recorded at worker exit / harvested
-  /// from the child. Never part of OutcomeSignature — they are timing facts.
+  /// Topology block (pin_threads): the logical cpu the forked shard-server
+  /// process was pinned to (-1 = unpinned, and always -1 in-process), and
+  /// the child's getrusage context-switch counts, harvested at shutdown.
+  /// Never part of OutcomeSignature — they are timing facts.
   std::atomic<int32_t> pinned_cpu{-1};
   std::atomic<uint64_t> ctx_voluntary{0};
   std::atomic<uint64_t> ctx_involuntary{0};

@@ -1,13 +1,10 @@
-// Multi-producer blocking work queue: the mailbox between transaction
-// submitters (clients, the 2PC coordinator) and a shard's worker thread.
-// Usually drained by a single consumer, but Pop is mutex-serialized so the
-// open-loop admission queue can fan out to many executor threads. Unbounded
-// by default (the closed-loop replay driver never exceeds the client
-// count); an optional capacity turns Push into a blocking call, which is
-// how a stalled shard backpressures its submitters instead of accumulating
-// unbounded work — and instead of deadlocking: Close() releases blocked
-// pushers as well as the consumer. TryPush is the non-blocking variant the
-// open-loop arrival thread uses to shed instead of stall.
+// Multi-producer, multi-consumer blocking work queue: the open-loop
+// admission queue between the arrival thread and the executor threads
+// (runtime/load_gen.h). Pop is mutex-serialized, so any number of executors
+// can drain it. TryPush never waits: at an optional capacity it refuses,
+// which is the arrival thread's signal to shed the transaction instead of
+// stalling the arrival schedule. Close() lets the consumers drain what is
+// queued and then stop.
 #pragma once
 
 #include <condition_variable>
@@ -22,27 +19,11 @@ template <typename T>
 class WorkQueue {
  public:
   /// Caps the queue depth; 0 (default) means unbounded. Not thread-safe:
-  /// call before any producer or the consumer runs.
+  /// call before any producer or consumer runs.
   void SetCapacity(size_t capacity) { capacity_ = capacity; }
 
-  /// Enqueues one item; wakes the consumer. Safe from any thread. Blocks
-  /// while the queue is at capacity until the consumer drains it (or the
-  /// queue closes, so shutdown never strands a blocked producer).
-  void Push(T item) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_full_.wait(lock, [&] {
-        return capacity_ == 0 || items_.size() < capacity_ || closed_;
-      });
-      items_.push_back(std::move(item));
-    }
-    cv_.notify_one();
-  }
-
-  /// Non-blocking enqueue for deadline-sensitive producers (the open-loop
-  /// admission path): returns false — without ever waiting — when the queue
-  /// is at capacity or closed, which is the arrival thread's signal to shed
-  /// the transaction instead of stalling the arrival schedule.
+  /// Enqueues one item and wakes a consumer, or returns false — without
+  /// ever waiting — when the queue is at capacity or closed.
   bool TryPush(T item) {
     {
       std::lock_guard<std::mutex> guard(mu_);
@@ -63,8 +44,6 @@ class WorkQueue {
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
     return item;
   }
 
@@ -75,7 +54,6 @@ class WorkQueue {
       closed_ = true;
     }
     cv_.notify_all();
-    not_full_.notify_all();
   }
 
   size_t size() const {
@@ -86,7 +64,6 @@ class WorkQueue {
  private:
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::condition_variable not_full_;
   std::deque<T> items_;
   size_t capacity_ = 0;
   bool closed_ = false;

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -28,6 +29,7 @@
 #include "net/wire.h"
 #include "obs/cluster_telemetry.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics_registry.h"
 #include "obs/trace_export.h"
 #include "obs/trace_recorder.h"
 #include "partition/evaluator.h"
@@ -426,12 +428,28 @@ TEST(DistTelemetryTest, ShutdownHarvestBuildsMergedClusterTrace) {
   rec.Reset();
   rec.Enable();
   rec.SetThreadName("coordinator/main");
+  // A series only the coordinator records: the forked children must not
+  // ship it back as shard telemetry.
+  const std::string coordinator_only = "jecb_test_coordinator_only_total";
+  MetricsRegistry::Default().AddCounter(coordinator_only, 1);
 
   ReplayReport r = RunReplay(b, solution, TransportKind::kUnixSocket, 4, {},
                              "unix-cluster-trace");
   EXPECT_EQ(r.abnormal_shard_exits(), 0u);
   // The shutdown harvest delivered one telemetry record per shard child.
   EXPECT_EQ(ClusterTelemetry::Default().num_processes(), 4u);
+  for (const RemoteProcessTelemetry& proc :
+       ClusterTelemetry::Default().Snapshot()) {
+    const std::string own = "jecb_shard_executed_local_total{shard=\"" +
+                            std::to_string(proc.shard) + "\"}";
+    bool has_own = false;
+    for (const MetricsRegistry::ScalarSample& s : proc.metrics) {
+      EXPECT_NE(PrometheusFamily(s.name), coordinator_only)
+          << "shard " << proc.shard << " shipped a coordinator series";
+      if (s.name == own) has_own = true;
+    }
+    EXPECT_TRUE(has_own) << "shard " << proc.shard << " lacks " << own;
+  }
 
   std::string json = ClusterTelemetry::Default().RenderClusterTrace();
   rec.Reset();
@@ -586,6 +604,18 @@ TEST(DistTelemetryTest, LiveMetricsEndpointServesClusterSeriesMidReplay) {
   DatabaseSolution solution = MixedSolution(*b.db, 2);
   ClusterTelemetry::Default().Reset();
 
+  // Replay()'s steps, spelled out so that the endpoint and the scraper
+  // start only after Start() has forked the shard servers: the process
+  // must still be single-threaded when it forks (dist/transport.h).
+  std::vector<ClassifiedTxn> classified =
+      ClassifyTrace(*b.db, solution, b.trace);
+  ShardedDatabase sharded(*b.db, solution);
+  RuntimeMetrics metrics(sharded.num_shards());
+  RuntimeOptions opt = FastOptions(TransportKind::kUnixSocket, 2);
+  opt.telemetry_period_ms = 10;
+  std::unique_ptr<Transport> transport = MakeTransport(sharded, opt, &metrics);
+  ASSERT_TRUE(transport->Start().ok());
+
   dist::MetricsHttpServer server;
   ASSERT_TRUE(server.Start(0).ok());
   ASSERT_GT(server.port(), 0);
@@ -600,11 +630,24 @@ TEST(DistTelemetryTest, LiveMetricsEndpointServesClusterSeriesMidReplay) {
     mid_ok = res.ok();
     if (res.ok()) mid_body = std::move(res).value();
   });
-  RuntimeOptions opt = FastOptions(TransportKind::kUnixSocket, 2);
-  opt.telemetry_period_ms = 10;
-  ReplayReport r = Replay(*b.db, solution, b.trace, opt, "unix-live-scrape");
+  {
+    std::unique_ptr<TransportSession> session = transport->NewSession(0);
+    for (const ClassifiedTxn& ct : classified) {
+      if (ct.RequiresTwoPhaseCommit()) {
+        session->ExecuteDistributed(ct);
+      } else {
+        session->ExecuteLocal(ct);
+      }
+    }
+  }
+  transport->Drain();
   scraper.join();
-  EXPECT_EQ(r.abnormal_shard_exits(), 0u);
+  const std::vector<ShardExitStatus> exits = transport->Report().shard_exits;
+  ASSERT_EQ(exits.size(), 2u);
+  for (const ShardExitStatus& e : exits) {
+    EXPECT_TRUE(e.clean()) << "shard=" << e.shard;
+  }
+  EXPECT_EQ(metrics.Snapshot().committed, classified.size());
   EXPECT_TRUE(mid_ok);
 
   Result<std::string> final_scrape = dist::ScrapeMetricsOnce(server.port());

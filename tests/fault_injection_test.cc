@@ -1,7 +1,7 @@
 // Tests for the fault-injection and recovery layer: determinism of the
 // seed-driven injector, retry/backoff semantics in the 2PC coordinator
 // (retry-then-succeed, budget exhaustion -> recorded failure), stalled-shard
-// backpressure through the bounded work queues (no deadlock; run under
+// backpressure through the shard mutexes (no deadlock; run under
 // ThreadSanitizer by tools/run_tsan.sh), thread-count-independence of the
 // replay outcome signature, and the metrics conservation invariants.
 #include <gtest/gtest.h>
@@ -219,8 +219,7 @@ TEST(FaultReplayTest, StalledShardBackpressuresWithoutDeadlock) {
   WorkloadBundle b = SmallTpcc(250);
   DatabaseSolution hash = MakeNaiveHashSolution(*b.db, 4);
   RuntimeOptions opt = FastOptions();
-  opt.num_clients = 8;       // more clients than shards
-  opt.max_queue_depth = 2;   // tiny queues: stalls must backpressure
+  opt.num_clients = 8;  // more clients than shards: stalls must backpressure
   opt.faults = FastFaults();
   opt.faults.stall_rate = 1.0;  // every prepare stalls its participant
   opt.faults.stall_us = 50;
@@ -349,16 +348,6 @@ TEST(FaultReplayTest, JsonCarriesFaultFields) {
   }
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
-}
-
-TEST(FaultReplayTest, BoundedQueueWithoutFaultsStillConserves) {
-  WorkloadBundle b = SmallTpcc(400);
-  DatabaseSolution hash = MakeNaiveHashSolution(*b.db, 4);
-  RuntimeOptions opt = FastOptions();
-  opt.num_clients = 8;
-  opt.max_queue_depth = 1;
-  ReplayReport r = Replay(*b.db, hash, b.trace, opt, "bounded-queue");
-  EXPECT_EQ(r.committed, r.total_txns);
 }
 
 TEST(CoordinationExposureTest, GrowsWithRateAndDistributedFraction) {

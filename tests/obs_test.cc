@@ -5,8 +5,9 @@
 // exposition text is deterministic), and the replay integration contracts:
 // per-txn sampling is a pure function of (seed, txn id) so the sampled set
 // is identical at any client count, tracing never changes a replay's
-// outcome signature, and traced txn span durations reconcile exactly with
-// the report's latency histograms. Runs under ThreadSanitizer via the
+// outcome signature, traced txn span durations reconcile exactly with the
+// report's latency histograms, and an in-process local txn executes on the
+// client thread that submitted it. Runs under ThreadSanitizer via the
 // `tsan` ctest label.
 #include <gtest/gtest.h>
 
@@ -448,7 +449,9 @@ TEST(SamplingTest, SampleRateZeroEmitsNoTxnSpans) {
 TEST(ReconciliationTest, TxnSpanDurationsMatchReportHistograms) {
   if (!kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
   WorkloadBundle b = SmallTpcc();
-  DatabaseSolution solution = MakeNaiveHashSolution(*b.db, 4);
+  // 2 shards, not 4: at 4 every txn of this trace is distributed, and the
+  // local half of the reconciliation would compare zero with zero.
+  DatabaseSolution solution = MakeNaiveHashSolution(*b.db, 2);
   RuntimeOptions opt = FastOptions();
   opt.trace_sample_rate = 1.0;  // trace every txn
 
@@ -462,15 +465,37 @@ TEST(ReconciliationTest, TxnSpanDurationsMatchReportHistograms) {
 
   uint64_t local_spans = 0, local_dur = 0;
   uint64_t dist_spans = 0, dist_dur = 0;
+  uint64_t lock_waits = 0;
+  std::map<int64_t, const CollectedEvent*> local_by_txn;
+  std::vector<const CollectedEvent*> executes;
   for (const CollectedEvent& e : events) {
     std::string_view name = e.event.name;
     if (name == "txn.local") {
       ++local_spans;
       local_dur += e.event.dur_us;
+      local_by_txn[e.event.arg1] = &e;
     } else if (name == "txn.dist") {
       ++dist_spans;
       dist_dur += e.event.dur_us;
+    } else if (name == "shard.lock_wait") {
+      ++lock_waits;
+    } else if (name == "shard.execute") {
+      executes.push_back(&e);
     }
+  }
+  // In-process, a local txn executes on the client thread that submitted
+  // it, inside its txn.local span (up to the 1 us the two spans' separate
+  // truncations to whole microseconds can put between their ends).
+  EXPECT_EQ(lock_waits, report.local.count);
+  EXPECT_EQ(executes.size(), report.local.count);
+  for (const CollectedEvent* exec : executes) {
+    auto it = local_by_txn.find(exec->event.arg1);
+    ASSERT_NE(it, local_by_txn.end()) << "txn " << exec->event.arg1;
+    const CollectedEvent& local = *it->second;
+    EXPECT_EQ(exec->tid, local.tid) << "txn " << exec->event.arg1;
+    EXPECT_GE(exec->event.ts_us, local.event.ts_us);
+    EXPECT_LE(exec->event.ts_us + exec->event.dur_us,
+              local.event.ts_us + local.event.dur_us + 1);
   }
   // Every committed txn produced exactly one terminal span whose duration
   // is the same latency value the report's histograms recorded — the trace
@@ -481,6 +506,7 @@ TEST(ReconciliationTest, TxnSpanDurationsMatchReportHistograms) {
   EXPECT_EQ(dist_dur, report.distributed_hist.sum_us);
   EXPECT_EQ(local_spans + dist_spans, report.committed);
   EXPECT_GT(dist_spans, 0u);  // naive hash makes plenty of distributed txns
+  EXPECT_GT(local_spans, 0u);  // and, at 2 shards, a few single-shard ones
 }
 
 TEST(ReplayRenderersTest, PrometheusAndAsciiAgreeWithReport) {

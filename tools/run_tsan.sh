@@ -6,8 +6,8 @@
 # build list and the run list cannot drift, and a missing binary fails the
 # build instead of being silently skipped.
 #
-# Covers the runtime (executor/coordinator/fault injector), the parallel
-# partitioning pipeline (thread pool, chunked Evaluate, parallel
+# Covers the runtime (coordinator, in-process channel, fault injector), the
+# parallel partitioning pipeline (thread pool, chunked Evaluate, parallel
 # Combiner search), the fault-injection suites, and the distributed
 # runtime (net wire/event-loop suite plus the multi-process socket
 # transport — forked shard servers stay single-threaded, so the whole
