@@ -163,16 +163,13 @@ inline std::string OutDir(int argc, char** argv) {
 inline std::string WriteBenchJson(const std::string& out_dir,
                                   const std::string& bench,
                                   const std::string& content) {
-  // The CI perf gate (tools/bench_compare) treats a missing BENCH file as
-  // "the bench did not run", so a silent write failure here would turn into
-  // a confusing downstream failure — create the directory and fail loudly.
+  // A silent write failure here would surface later as a confusing missing
+  // artifact, so create the directory and fail loudly.
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
   std::string path = out_dir + "/BENCH_" + bench + ".json";
   // Stamp the machine's topology fingerprint into every bench artifact so
-  // cross-machine baseline drift is explainable from the JSON alone. The
-  // "machine" keys are deliberately outside bench_compare's gated/identity
-  // name sets, so the stamp never participates in the perf gate.
+  // numbers from different machines are explainable from the JSON alone.
   std::string stamped = content;
   if (!stamped.empty() && stamped.front() == '{') {
     stamped.insert(1, "\"machine\":" + TopologyFingerprintJson() + ",");

@@ -18,12 +18,9 @@
 //   - --pin_threads changes timing only: pinned and unpinned closed-loop
 //     runs have identical signatures.
 //
-// Emits BENCH_latency_curve.json. The CI perf gate key is
-// jecb_goodput_at_80pct_per_sec: JECB goodput at 80%-of-capacity offered
-// load on the smallest swept shard count — open-loop goodput at a healthy
-// utilization, the number that regresses when admission or the topology
-// runtime gets slower. `--quick` (CI bench-smoke) restricts to 2 shards, a
-// short trace and 3 sweep points.
+// Emits BENCH_latency_curve.json and exits non-zero when either identity
+// contract fails. `--quick` (CI bench-smoke) restricts to 2 shards, a short
+// trace and 3 sweep points.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -108,7 +105,6 @@ int main(int argc, char** argv) {
 
   bool open_loop_signature_identical = true;
   bool pinned_signature_identical = true;
-  double gate_goodput = 0.0;  ///< JECB @ 0.8 capacity, smallest shard count
   std::vector<Curve> curves;
 
   AsciiTable table({"layout", "shards", "offered/capacity", "target_tps",
@@ -207,11 +203,6 @@ int main(int argc, char** argv) {
                           FormatDouble(p.sojourn_p95_us, 0) + "/" +
                           FormatDouble(p.sojourn_p99_us, 0),
                       FormatDouble(p.queue_wait_p99_us, 0)});
-
-        if (curve.layout == "jecb" && k == shard_counts.front() &&
-            f > 0.79 && f < 0.81) {
-          gate_goodput = p.goodput_tps;
-        }
       }
       curves.push_back(std::move(curve));
     }
@@ -240,8 +231,6 @@ int main(int argc, char** argv) {
           std::string(open_loop_signature_identical ? "true" : "false") + ",\n";
   json += "  \"pinned_signature_identical\": " +
           std::string(pinned_signature_identical ? "true" : "false") + ",\n";
-  json += "  \"jecb_goodput_at_80pct_per_sec\": " +
-          FormatDouble(gate_goodput, 0) + ",\n";
   json += "  \"curves\": [\n";
   for (size_t c = 0; c < curves.size(); ++c) {
     const Curve& curve = curves[c];

@@ -2,8 +2,9 @@
 // with JECB, replay the workload from four client threads that lock the
 // shards they touch (first fault-free, then under a deterministic fault
 // plan with 2PC prepare rejections, shard stalls, and transient shard-down
-// windows), and print the measured reports (the JSON line is what the
-// bench harness writes to BENCH_throughput_tpcc.json).
+// windows), and print the measured reports (the JSON line is the
+// ReplayReport::ToJson() record that bench/distributed_replay and
+// bench/fault_tolerance embed in their BENCH_<name>.json).
 // Pass --trace_out trace.json to capture the per-txn replay timelines
 // (shard lock wait, execution, 2PC prepare/commit rounds, retries, fault
 // instants) as a Chrome trace, and --metrics_out metrics.prom for a

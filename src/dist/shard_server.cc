@@ -25,12 +25,9 @@ ShardServer::ShardServer(int32_t shard_id, const ShardedDatabase& sharded,
       options_(options),
       injector_(options.faults),
       prepare_us_(options.local_work_us + options.lock_hold_us),
-      exchange_on_(options.exchange_enabled && !data_addrs.empty()),
       node_(shard_id, sharded, options.exchange_batch_bytes) {
-  if (exchange_on_) {
-    client_.Configure(shard_id, std::move(data_addrs), &injector_,
-                      options_.faults.wire_enabled());
-  }
+  client_.Configure(shard_id, std::move(data_addrs), &injector_,
+                    options_.faults.wire_enabled());
 }
 
 void ShardServer::Reply(EventLoop& loop, int64_t peer, MsgType type,
@@ -75,7 +72,7 @@ net::ShardStatsMsg ShardServer::ControlStats(const EventLoop& loop) const {
 
 net::ShardStatsMsg ShardServer::FinalStats(const EventLoop& loop) const {
   net::ShardStatsMsg out = ControlStats(loop);
-  if (exchange_on_) MergeExchangeStats(out);
+  MergeExchangeStats(out);
   // Topology tail: whole-process context switches (control + exchange
   // threads) and where — if anywhere — this child was pinned.
   const ContextSwitchCounts csw = ProcessContextSwitches();
@@ -207,7 +204,7 @@ void ShardServer::HandlePrepare(EventLoop& loop, int64_t peer,
       // exchange_reads... unless the txn reads nothing, in which case the
       // stream is just absent and the coordinator collects zero batches)
       // ack immediately.
-      if (exchange_on_ && !frag.exchange_reads.empty()) {
+      if (!frag.exchange_reads.empty()) {
         StreamAssembledReads(loop, peer, frag);
       }
       net::TxnRefMsg ack;
@@ -304,16 +301,14 @@ net::ShardStatsMsg ShardServer::Serve(net::Socket listener,
       pinned_cpu_ = plan[shard_id_];
     }
   }
-  if (exchange_on_ && data_listener.valid()) {
-    // The node thread is spawned here, AFTER fork (the child was
-    // single-threaded at fork, which keeps sanitizers happy), and serves
-    // the data plane for the whole control-loop lifetime.
-    node_.Start(std::move(data_listener));
-    // Peers' data listeners were all bound before fork, so these connects
-    // cannot flake; established now, the steady-state pull path never pays
-    // connection setup.
-    client_.ConnectAll();
-  }
+  // The node thread is spawned here, AFTER fork (the child was
+  // single-threaded at fork, which keeps sanitizers happy), and serves the
+  // data plane for the whole control-loop lifetime.
+  node_.Start(std::move(data_listener));
+  // Peers' data listeners were all bound before fork, so these connects
+  // cannot flake; established now, the steady-state pull path never pays
+  // connection setup.
+  client_.ConnectAll();
   TraceRecorder::Default().SetThreadName("shard-" + std::to_string(shard_id_) +
                                          "/control");
   EventLoop loop(std::move(listener));

@@ -13,10 +13,10 @@
 //                       ... HOLD ...   then block this shard on that one
 //   Commit           -> [TupleBatch*]  connection until the coordinator's
 //                       CommitAck      commit/abort releases it; if this
-//                       (or Abort)     shard is the txn's home and exchange
-//                                      is on, the commit first pulls remote
-//                                      read rows over the data plane and
-//                                      streams the assembled read set back
+//                       (or Abort)     shard is the txn's home, the commit
+//                                      first pulls remote read rows over
+//                                      the data plane and streams the
+//                                      assembled read set back
 //   Prepare(frag)    -> Vote(reject|down)   injected 2PC faults: no hold
 //   Shutdown         -> ShardStats     reply final counters, stop serving
 //
@@ -64,19 +64,17 @@ namespace jecb {
 
 class ShardServer {
  public:
-  /// `data_addrs[i]` is shard i's data-plane listener address; empty
-  /// disables exchange (the control protocol then behaves exactly as PR 6).
+  /// `data_addrs[i]` is shard i's data-plane listener address.
   ShardServer(int32_t shard_id, const ShardedDatabase& sharded,
               const RuntimeOptions& options,
-              std::vector<net::SocketAddr> data_addrs = {});
+              std::vector<net::SocketAddr> data_addrs);
 
-  /// Serves `listener` until a Shutdown frame or SIGTERM/SIGINT; when
-  /// `data_listener` is valid it is served by the ExchangeNode thread for
-  /// the same lifetime. Returns the final shard-side counters (also sent to
-  /// the Shutdown peer). Clears MetricsRegistry::Default() first, so call it
-  /// only in the forked shard process.
-  net::ShardStatsMsg Serve(net::Socket listener,
-                           net::Socket data_listener = net::Socket());
+  /// Serves `listener` until a Shutdown frame or SIGTERM/SIGINT, and
+  /// `data_listener` from the ExchangeNode thread for the same lifetime.
+  /// Returns the final shard-side counters (also sent to the Shutdown peer).
+  /// Clears MetricsRegistry::Default() first, so call it only in the forked
+  /// shard process.
+  net::ShardStatsMsg Serve(net::Socket listener, net::Socket data_listener);
 
  private:
   void HandleExecute(net::EventLoop& loop, int64_t peer, const net::Frame& frame);
@@ -108,7 +106,6 @@ class ShardServer {
   const RuntimeOptions options_;
   const FaultInjector injector_;
   const uint32_t prepare_us_;
-  const bool exchange_on_;
 
   ExchangeNode node_;
   ExchangeClient client_;

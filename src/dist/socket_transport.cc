@@ -84,9 +84,8 @@ SocketTransport::~SocketTransport() { Drain(); }
 Status SocketTransport::Start() {
   if (started_) return Status::OK();
   const int32_t n = sharded_.num_shards();
-  const bool exchange = options_.exchange_enabled;
   addrs_.resize(static_cast<size_t>(n));
-  data_addrs_.resize(exchange ? static_cast<size_t>(n) : 0);
+  data_addrs_.resize(static_cast<size_t>(n));
   procs_.resize(static_cast<size_t>(n));
   shard_exits_.assign(static_cast<size_t>(n), ShardExitStatus{});
   shard_rtt_.clear();
@@ -154,11 +153,9 @@ Status SocketTransport::Start() {
   for (int32_t i = 0; i < n; ++i) {
     Status s = bind_one(i, ".sock", addrs_[static_cast<size_t>(i)], listeners);
     if (!s.ok()) return s;
-    if (exchange) {
-      s = bind_one(i, ".data.sock", data_addrs_[static_cast<size_t>(i)],
-                   data_listeners);
-      if (!s.ok()) return s;
-    }
+    s = bind_one(i, ".data.sock", data_addrs_[static_cast<size_t>(i)],
+                 data_listeners);
+    if (!s.ok()) return s;
   }
 
   // Fork the shard servers while this process is still single-threaded:
@@ -175,10 +172,7 @@ Status SocketTransport::Start() {
       // until kShutdown or SIGTERM; _Exit so no parent-owned state (atexit
       // hooks, buffers, sanitizer end-of-process checks) runs twice.
       net::Socket own = std::move(listeners[static_cast<size_t>(i)]);
-      net::Socket own_data;
-      if (exchange) {
-        own_data = std::move(data_listeners[static_cast<size_t>(i)]);
-      }
+      net::Socket own_data = std::move(data_listeners[static_cast<size_t>(i)]);
       listeners.clear();
       data_listeners.clear();
       net::InstallStopSignalHandler();
@@ -464,7 +458,6 @@ class SocketChannel : public ShardChannel {
   SocketChannel(SocketTransport* transport, int client_id)
       : transport_(transport),
         client_id_(static_cast<uint32_t>(client_id)),
-        exchange_on_(transport->options_.exchange_enabled),
         channels_(static_cast<size_t>(transport->sharded_.num_shards())) {
     const bool wire_faults = transport->options_.faults.wire_enabled();
     for (size_t i = 0; i < channels_.size(); ++i) {
@@ -524,7 +517,7 @@ class SocketChannel : public ShardChannel {
   void Commit(const ClassifiedTxn& txn, uint32_t attempt) override {
     const std::string payload = TxnRef(txn, attempt);
     for (int32_t p : prepared_) {
-      if (exchange_on_ && p == txn.home) {
+      if (p == txn.home) {
         CommitHomeAndCollect(txn, attempt, payload);
       } else {
         Call(p, MsgType::kCommit, payload, txn.txn_id, attempt,
@@ -588,15 +581,14 @@ class SocketChannel : public ShardChannel {
 
   net::FragmentMsg WholeFragment(const ClassifiedTxn& txn) const;
   /// Only the accesses shard `p` stores (replicated writes included): the
-  /// slice of the transaction that shard actually prepares. When exchange is
-  /// on, the HOME shard's slice additionally carries the txn's full read set
-  /// so a commit can assemble it without a second coordinator round trip.
+  /// slice of the transaction that shard actually prepares. The HOME shard's
+  /// slice additionally carries the txn's full read set so a commit can
+  /// assemble it without a second coordinator round trip.
   net::FragmentMsg SliceFragment(const ClassifiedTxn& txn, uint32_t attempt,
                                  int32_t p) const;
 
   SocketTransport* transport_;
   const uint32_t client_id_;
-  const bool exchange_on_;
 
   std::vector<FaultyChannel> channels_;
   /// Shards that voted yes in the current attempt, in ascending order.
@@ -689,11 +681,11 @@ net::FragmentMsg SocketChannel::SliceFragment(const ClassifiedTxn& txn,
                              static_cast<uint64_t>(a.tuple.row),
                              static_cast<uint8_t>(a.write ? 1 : 0)});
   }
-  if (exchange_on_ && p == txn.home) {
+  if (p == txn.home) {
     // The home shard assembles the read set at commit time; its prepare
     // carries the FULL read set (access order, duplicates preserved) so no
     // extra coordinator round is needed. Other slices leave the tail empty,
-    // keeping their frames byte-identical to the exchange-off protocol.
+    // which encodes as no tail at all (net/wire.h).
     for (const Access& a : txn.txn->accesses) {
       if (a.write) continue;
       frag.exchange_reads.push_back({static_cast<uint32_t>(a.tuple.table),

@@ -4,15 +4,15 @@
 // prepare/vote/commit/ack message rounds instead of the in-process
 // backend's simulated sleeps.
 //
-// Process model: Start() binds every shard's listener — the control
-// listener, plus a second DATA listener per shard when exchange is enabled —
-// and THEN forks, while the parent is still single-threaded: the children
-// inherit the immutable ShardedDatabase copy-on-write (no serialization)
-// and a clean address space (fork before client threads is what keeps this
-// sanitizer-safe). Each child keeps only its own listeners plus the full
-// data-address table (so its ExchangeClient can reach every peer's data
-// plane directly, bypassing the coordinator), installs the SIGTERM handler
-// and serves until the Drain() control round sends it kShutdown; the parent
+// Process model: Start() binds every shard's listeners — the control
+// listener and the exchange DATA listener — and THEN forks, while the
+// parent is still single-threaded: the children inherit the immutable
+// ShardedDatabase copy-on-write (no serialization) and a clean address
+// space (fork before client threads is what keeps this sanitizer-safe).
+// Each child keeps only its own listeners plus the full data-address table
+// (so its ExchangeClient can reach every peer's data plane directly,
+// bypassing the coordinator), installs the SIGTERM handler and serves
+// until the Drain() control round sends it kShutdown; the parent
 // reaps it with an escalating waitpid -> SIGTERM -> SIGKILL ladder so a
 // wedged shard can never hang the replay, and records each child's exit
 // status in TransportReport::shard_exits so abnormal deaths (a TransportPanic
@@ -123,8 +123,8 @@ class SocketTransport : public Transport {
   const FaultInjector injector_;
 
   std::vector<net::SocketAddr> addrs_;
-  /// Exchange data-plane listener addresses (empty when exchange is off);
-  /// every child gets the full table at fork time.
+  /// Exchange data-plane listener addresses; every child gets the full
+  /// table at fork time.
   std::vector<net::SocketAddr> data_addrs_;
   std::vector<ShardProc> procs_;
   std::vector<ShardExitStatus> shard_exits_;

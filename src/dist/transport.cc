@@ -104,10 +104,8 @@ class InProcessChannel : public ShardChannel {
     // The committing attempt assembles the read set straight from storage:
     // the same entries and the same BuildExchangeOutcome accounting as the
     // socket backends' home-shard assembly.
-    if (options_.exchange_enabled) {
-      AssembleLocalExchange(sharded_, txn, options_.exchange_batch_bytes,
-                            metrics_);
-    }
+    AssembleLocalExchange(sharded_, txn, options_.exchange_batch_bytes,
+                          metrics_);
     // Commit messages out, acks back: latency the client still observes,
     // but the shards are already free.
     SimulateNetworkDelay(options_.round_trip_us);

@@ -213,8 +213,7 @@ struct FragmentMsg {
   /// set of the transaction in access order. At commit time the home shard
   /// pulls the remote rows over the data plane and streams the assembled
   /// read set to the coordinator. Encoded as a back-compat tail — absent
-  /// (old encoders / non-home participants / exchange disabled) decodes as
-  /// empty.
+  /// (old encoders / non-home participants) decodes as empty.
   std::vector<WireAccess> exchange_reads;
 
   std::string Encode() const;

@@ -7,8 +7,8 @@
 //    wraps, overwriting the oldest events — tracing can run forever and
 //    memory stays bounded; Collect() reports how many events were dropped.
 //  * When the recorder is disabled (the default), every instrumentation
-//    point costs one relaxed atomic load and a branch — measured <1% on
-//    bench/throughput_tpcc — and allocates nothing: no thread buffer is
+//    point costs one relaxed atomic load and a branch — measured <1% on an
+//    in-process TPC-C replay — and allocates nothing: no thread buffer is
 //    created until the first event is actually recorded. Building with
 //    -DJECB_OBS_DISABLED (CMake -DJECB_OBS=OFF) compiles the layer out
 //    entirely: enabled() folds to false and the macros expand to nothing.

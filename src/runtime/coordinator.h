@@ -68,7 +68,7 @@ class ShardChannel {
 
   /// Commits every shard this attempt prepared. Only the committing attempt
   /// gets here, so it also assembles the transaction's read set as tuple
-  /// bytes (when exchange is on) and accounts it via BuildExchangeOutcome.
+  /// bytes and accounts it via BuildExchangeOutcome.
   virtual void Commit(const ClassifiedTxn& txn, uint32_t attempt) = 0;
 };
 

@@ -69,16 +69,11 @@ struct RuntimeOptions {
   /// (all rates zero). See runtime/fault_injector.h for the determinism
   /// contract.
   FaultPlan faults;
-  /// Exchange-style tuple routing: committed transactions assemble their
-  /// full read set as actual tuple bytes (the socket backends pull remote
-  /// rows shard-to-shard over dedicated data channels; the in-process
-  /// backend materializes the same rows in memory). Outcome counters are
-  /// unaffected — only the jecb_exchange_* metrics and the payload digest
-  /// move — so OutcomeSignature() is identical with exchange on or off.
-  bool exchange_enabled = true;
-  /// Target encoded-row bytes per kTupleBatch frame; responses exceeding it
-  /// are split into multiple batches. Clamped to [64 B, 256 KiB] (tiny
-  /// values are how the tests force batches to straddle frame boundaries).
+  /// Target encoded-row bytes per kTupleBatch frame of the exchange, which
+  /// assembles each committed 2PC transaction's read set as tuple bytes
+  /// (runtime/exchange.h); responses exceeding it are split into multiple
+  /// batches. Clamped to [64 B, 256 KiB] (tiny values are how the tests
+  /// force batches to straddle frame boundaries).
   uint32_t exchange_batch_bytes = 32 * 1024;
   /// Fraction of transactions that get a full per-txn span timeline
   /// (shard lock wait -> execute -> 2PC rounds -> retries) when the

@@ -56,13 +56,8 @@ class WorkQueue {
     cv_.notify_all();
   }
 
-  size_t size() const {
-    std::lock_guard<std::mutex> guard(mu_);
-    return items_.size();
-  }
-
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<T> items_;
   size_t capacity_ = 0;

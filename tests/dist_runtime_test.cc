@@ -21,11 +21,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/metrics_http.h"
 #include "dist/replay.h"
 #include "dist/transport.h"
+#include "jecb/jecb.h"
 #include "net/wire.h"
 #include "obs/cluster_telemetry.h"
 #include "obs/flight_recorder.h"
@@ -277,31 +279,44 @@ void ExpectExchangeParity(const ReplayReport& got, const ReplayReport& ref,
 
 TEST(DistRuntimeTest, ExchangeParityAcrossBackendsAndClientCounts) {
   WorkloadBundle b = SmallTpcc();
-  DatabaseSolution solution = MixedSolution(*b.db, 4);
-  ReplayReport ref =
-      RunReplay(b, solution, TransportKind::kInProcess, 4, {}, "inproc-exch");
-  // The workload must actually move rows for this test to mean anything.
-  EXPECT_GT(ref.exchange_txns, 0u);
-  EXPECT_GT(ref.exchange_tuples, 0u);
-  EXPECT_GT(ref.exchange_remote_tuples, 0u);
-  EXPECT_GT(ref.exchange_batches, 0u);
-  EXPECT_NE(ref.exchange_digest, 0u);
+  JecbOptions jopt;
+  jopt.num_partitions = 4;
+  Result<JecbResult> jecb =
+      Jecb(jopt).Partition(b.db.get(), b.procedures, b.trace);
+  ASSERT_TRUE(jecb.ok()) << jecb.status().ToString();
+  // Two layouts over 4 shards: the mixed one sends most transactions through
+  // 2PC; JECB's, the layout the benchmark replays, keeps most local, so only
+  // its remote-warehouse residue exchanges rows.
+  const std::pair<std::string, DatabaseSolution> layouts[] = {
+      {"mixed", MixedSolution(*b.db, 4)}, {"jecb", jecb.value().solution}};
+  for (const auto& [layout, solution] : layouts) {
+    ReplayReport ref = RunReplay(b, solution, TransportKind::kInProcess, 4, {},
+                                 "inproc-exch-" + layout);
+    // The workload must actually move rows for this test to mean anything.
+    EXPECT_GT(ref.exchange_txns, 0u) << layout;
+    EXPECT_GT(ref.exchange_tuples, 0u) << layout;
+    EXPECT_GT(ref.exchange_remote_tuples, 0u) << layout;
+    EXPECT_GT(ref.exchange_batches, 0u) << layout;
+    EXPECT_NE(ref.exchange_digest, 0u) << layout;
 
-  for (TransportKind kind : {TransportKind::kUnixSocket, TransportKind::kTcpSocket}) {
-    for (int clients : {1, 4, 8}) {
-      const std::string ctx = std::string(TransportKindName(kind)) + "-" +
-                              std::to_string(clients);
-      ReplayReport dist = RunReplay(b, solution, kind, clients, {}, ctx);
-      EXPECT_EQ(dist.OutcomeSignature(), ref.OutcomeSignature()) << ctx;
-      ExpectExchangeParity(dist, ref, ctx);
-      // The wire actually carried the rows: the home shards streamed every
-      // assembled read set to their coordinators, and rows owned elsewhere
-      // crossed the shard-to-shard data plane.
-      EXPECT_GE(dist.transport_counters.exchange_tuples, dist.exchange_tuples)
-          << ctx;
-      EXPECT_GT(dist.transport_counters.exchange_requests, 0u) << ctx;
-      EXPECT_GT(dist.transport_counters.exchange_batches, 0u) << ctx;
-      EXPECT_GT(dist.transport_counters.exchange_bytes, 0u) << ctx;
+    for (TransportKind kind :
+         {TransportKind::kUnixSocket, TransportKind::kTcpSocket}) {
+      for (int clients : {1, 4, 8}) {
+        const std::string ctx = layout + "-" +
+                                std::string(TransportKindName(kind)) + "-" +
+                                std::to_string(clients);
+        ReplayReport dist = RunReplay(b, solution, kind, clients, {}, ctx);
+        EXPECT_EQ(dist.OutcomeSignature(), ref.OutcomeSignature()) << ctx;
+        ExpectExchangeParity(dist, ref, ctx);
+        // The wire actually carried the rows: the home shards streamed every
+        // assembled read set to their coordinators, and rows owned elsewhere
+        // crossed the shard-to-shard data plane.
+        EXPECT_GE(dist.transport_counters.exchange_tuples, dist.exchange_tuples)
+            << ctx;
+        EXPECT_GT(dist.transport_counters.exchange_requests, 0u) << ctx;
+        EXPECT_GT(dist.transport_counters.exchange_batches, 0u) << ctx;
+        EXPECT_GT(dist.transport_counters.exchange_bytes, 0u) << ctx;
+      }
     }
   }
 }
@@ -349,29 +364,6 @@ TEST(DistRuntimeTest, ExchangeBatchesStraddleFrameBoundaries) {
   ReplayReport dist = Replay(*b.db, solution, b.trace, tiny, "unix-tiny-batch");
   EXPECT_EQ(dist.OutcomeSignature(), ref.OutcomeSignature());
   ExpectExchangeParity(dist, ref, "unix-tiny-batch");
-}
-
-TEST(DistRuntimeTest, ExchangeOffBaselineKeepsSignatureAndZeroCounters) {
-  WorkloadBundle b = SmallTpcc(150);
-  DatabaseSolution solution = MixedSolution(*b.db, 4);
-  RuntimeOptions on = FastOptions(TransportKind::kUnixSocket, 2);
-  ReplayReport with = Replay(*b.db, solution, b.trace, on, "unix-exch-on");
-  RuntimeOptions off = FastOptions(TransportKind::kUnixSocket, 2);
-  off.exchange_enabled = false;
-  ReplayReport without = Replay(*b.db, solution, b.trace, off, "unix-exch-off");
-  // Exchange is pure payload movement: 2PC outcomes are identical with it
-  // on or off, and off means genuinely off — no counters, no digest, no
-  // data-plane traffic.
-  EXPECT_EQ(with.OutcomeSignature(), without.OutcomeSignature());
-  EXPECT_GT(with.exchange_txns, 0u);
-  EXPECT_EQ(without.exchange_txns, 0u);
-  EXPECT_EQ(without.exchange_tuples, 0u);
-  EXPECT_EQ(without.exchange_digest, 0u);
-  EXPECT_EQ(without.transport_counters.exchange_requests, 0u);
-  EXPECT_EQ(without.transport_counters.exchange_tuples, 0u);
-  for (const ShardReport& s : without.shards) {
-    EXPECT_EQ(s.exchange_tuples_out, 0u);
-  }
 }
 
 TEST(DistRuntimeTest, ForcedReconnectsMidReplayKeepParity) {

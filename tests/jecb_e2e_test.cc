@@ -165,6 +165,43 @@ TEST(JecbEndToEnd, TpceMatchesPaperStructure) {
   EXPECT_GT(run.eval.class_cost(run.test.FindClass("BrokerVolume").value()), 0.9);
 }
 
+// Pins the exact single-threaded solutions `bench/parallel_search --quick`
+// finds at k=8 on its whole (unsplit) trace; that bench only checks that
+// other thread counts reproduce them. Any change to a chosen attribute, a
+// join path or the Phase 3 search moves the distributed count or the
+// number of combinations scored.
+void ExpectPinnedQuickSearch(WorkloadBundle b, uint64_t distributed,
+                             uint64_t combinations) {
+  JecbOptions opt;
+  opt.num_partitions = 8;
+  opt.num_threads = 1;
+  auto res = Jecb(opt).Partition(b.db.get(), b.procedures, b.trace);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  const CombinerReport& report = res.value().combiner_report;
+  EvalResult ev = Evaluate(*b.db, res.value().solution, b.trace);
+  EXPECT_EQ(ev.distributed_txns, distributed);
+  EXPECT_DOUBLE_EQ(report.best_train_cost,
+                   static_cast<double>(distributed) /
+                       static_cast<double>(b.trace.size()));
+  EXPECT_EQ(report.evaluated_combinations, combinations);
+}
+
+TEST(JecbEndToEnd, TpccQuickSearchCostIsPinned) {
+  TpccConfig cfg;
+  cfg.warehouses = 8;
+  cfg.districts_per_warehouse = 4;
+  cfg.customers_per_district = 10;
+  cfg.items = 50;
+  cfg.initial_orders_per_district = 3;
+  ExpectPinnedQuickSearch(TpccWorkload(cfg).Make(8000, 5), 763, 5);
+}
+
+TEST(JecbEndToEnd, TpceQuickSearchCostIsPinned) {
+  TpceConfig cfg;
+  cfg.customers = 400;
+  ExpectPinnedQuickSearch(TpceWorkload(cfg).Make(4000, 5), 810, 6);
+}
+
 TEST(JecbEndToEnd, SyntheticDegradesWithImplicitJoins) {
   SyntheticConfig low;
   low.implicit_join_fraction = 0.1;
