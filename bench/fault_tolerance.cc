@@ -4,8 +4,12 @@
 // rejections, shard stalls, coordinator timeouts, transient shard-down
 // windows — at increasing rates and measures how JECB's and naive-hash's
 // *goodput* (committed txns per second) degrade. JECB, with ~10% distributed
-// transactions, should degrade strictly less than naive hash, whose ~100%
-// distributed workload pays every fault, retry, and backoff.
+// transactions, should pay fewer faults than naive hash, whose ~100%
+// distributed workload pays every fault, retry, and backoff. The exit code
+// rests on counts that are deterministic per seed: at a 5% fault rate JECB
+// must have strictly fewer aborts + retries + failures per committed
+// transaction, and no more failures. The goodput degradation is printed and
+// written, but a short replay's wall-clock ratio is too noisy to gate on.
 //
 // Also asserts the determinism contract: a faulted replay's outcome
 // signature (commits, failures, aborts, per-shard fault counts) is
@@ -13,6 +17,7 @@
 // analytic CoordinationExposure from the static evaluator next to the
 // measured exposure. Emits BENCH_fault_tolerance.json to --out_dir
 // (default: the build directory); --txns scales the trace for CI smoke.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -29,6 +34,7 @@ struct FaultRow {
   double fault_rate = 0.0;
   ReplayReport report;
   double degradation = 0.0;  // 1 - goodput / fault-free goodput
+  double fault_events_per_commit = 0.0;  // (aborts + retries + failed) / committed
   double exposure_analytic = 0.0;
   double min_availability = 1.0;
 };
@@ -67,8 +73,8 @@ double MinAvailability(const ReplayReport& r) {
 int main(int argc, char** argv) {
   InitObs(argc, argv);
   PrintHeader("Fault tolerance: goodput under injected 2PC coordination faults",
-              "JECB's low distributed fraction shields it — its goodput "
-              "degrades strictly less than naive-hash at every fault rate");
+              "JECB's low distributed fraction shields it — it pays fewer "
+              "aborts, retries and failures per commit than naive-hash");
   const std::string out_dir = OutDir(argc, argv);
   const size_t num_txns = static_cast<size_t>(ArgInt(argc, argv, "--txns", 4000));
   const int clients = static_cast<int>(ArgInt(argc, argv, "--clients", 8));
@@ -99,8 +105,8 @@ int main(int argc, char** argv) {
 
   const std::vector<double> rates = {0.0, 0.01, 0.05, 0.10};
   AsciiTable table({"approach", "fault rate", "goodput (txn/s)", "degradation",
-                    "failed", "aborts", "retries", "exposure (analytic)",
-                    "min shard avail"});
+                    "failed", "aborts", "retries", "events/commit",
+                    "exposure (analytic)", "min shard avail"});
   std::vector<FaultRow> rows;
 
   auto run_series = [&](const std::string& label,
@@ -120,12 +126,17 @@ int main(int argc, char** argv) {
       row.degradation = baseline_goodput > 0.0
                             ? 1.0 - row.report.goodput_tps / baseline_goodput
                             : 0.0;
+      const ReplayReport& rep = row.report;
+      row.fault_events_per_commit =
+          static_cast<double>(rep.aborts + rep.retries + rep.failed) /
+          static_cast<double>(std::max<uint64_t>(rep.committed, 1));
       row.exposure_analytic = CoordinationExposure(eval, rate);
       row.min_availability = MinAvailability(row.report);
       table.AddRow({label, Pct(rate), FormatDouble(row.report.goodput_tps, 0),
                     Pct(row.degradation), std::to_string(row.report.failed),
                     std::to_string(row.report.aborts),
                     std::to_string(row.report.retries),
+                    FormatDouble(row.fault_events_per_commit, 4),
                     Pct(row.exposure_analytic), Pct(row.min_availability)});
       rows.push_back(row);
     }
@@ -134,8 +145,10 @@ int main(int argc, char** argv) {
   run_series("naive-hash", hash_solution, hash_eval);
   std::printf("%s\n", table.ToString().c_str());
 
-  // Acceptance check 1: at a 5% fault rate JECB's goodput degrades strictly
-  // less than naive-hash's.
+  // Acceptance check 1: at a 5% fault rate JECB pays strictly fewer fault
+  // events per committed transaction than naive hash. The counts depend only
+  // on the seed, so unlike the goodput degradation (printed for reference)
+  // this claim cannot flip with host timing.
   auto find_row = [&](const std::string& approach, double rate) -> const FaultRow& {
     for (const FaultRow& r : rows) {
       if (r.approach == approach && r.fault_rate == rate) return r;
@@ -147,11 +160,14 @@ int main(int argc, char** argv) {
   const FaultRow& hash5 = find_row("naive-hash", 0.05);
   std::printf("degradation at 5%% faults: JECB %s vs naive-hash %s\n",
               Pct(jecb5.degradation).c_str(), Pct(hash5.degradation).c_str());
-  if (!(jecb5.degradation < hash5.degradation)) {
+  std::printf("aborts + retries + failed per commit at 5%% faults: JECB %.4f "
+              "vs naive-hash %.4f\n",
+              jecb5.fault_events_per_commit, hash5.fault_events_per_commit);
+  if (!(jecb5.fault_events_per_commit < hash5.fault_events_per_commit)) {
     std::fprintf(stderr,
-                 "FATAL: JECB goodput degradation (%.4f) is not strictly below "
-                 "naive-hash (%.4f) at a 5%% fault rate\n",
-                 jecb5.degradation, hash5.degradation);
+                 "FATAL: JECB's fault events per commit (%.4f) are not "
+                 "strictly below naive-hash's (%.4f) at a 5%% fault rate\n",
+                 jecb5.fault_events_per_commit, hash5.fault_events_per_commit);
     return 1;
   }
   // Failed-txn exposure should order the same way (JECB coordinates less).
@@ -189,7 +205,9 @@ int main(int argc, char** argv) {
     const FaultRow& r = rows[i];
     json += "    {\"approach\": \"" + r.approach + "\", \"fault_rate\": " +
             FormatDouble(r.fault_rate, 2) + ", \"degradation\": " +
-            FormatDouble(r.degradation, 4) + ", \"exposure_analytic\": " +
+            FormatDouble(r.degradation, 4) + ", \"fault_events_per_commit\": " +
+            FormatDouble(r.fault_events_per_commit, 4) +
+            ", \"exposure_analytic\": " +
             FormatDouble(r.exposure_analytic, 4) + ", \"min_availability\": " +
             FormatDouble(r.min_availability, 4) + ",\n     \"report\": " +
             r.report.ToJson() + "}";

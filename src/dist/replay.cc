@@ -168,8 +168,6 @@ std::string ReplayReport::ToJson() const {
   out += ",\"dedup_drops\":" + std::to_string(transport_counters.dedup_drops);
   out += ",\"shard_frames\":" + std::to_string(transport_counters.shard_frames);
   out += ",\"shard_bytes\":" + std::to_string(transport_counters.shard_bytes);
-  out += ",\"exchange_requests\":" +
-         std::to_string(transport_counters.exchange_requests);
   out += ",\"exchange_batches\":" +
          std::to_string(transport_counters.exchange_batches);
   out += ",\"exchange_tuples\":" +
@@ -299,18 +297,15 @@ void ReplayReport::PublishTo(MetricsRegistry& registry) const {
           "Duplicate frames the shard servers suppressed");
   counter("jecb_transport_shard_frames_total", transport_counters.shard_frames,
           "Frames the shard server processes received");
-  counter("jecb_transport_exchange_requests_total",
-          transport_counters.exchange_requests,
-          "Data-plane pull requests served by shard exchange nodes");
   counter("jecb_transport_exchange_batches_total",
           transport_counters.exchange_batches,
-          "Tuple batches shipped over shard data planes and commit streams");
+          "Tuple batches shard servers shipped with their yes votes");
   counter("jecb_transport_exchange_tuples_total",
           transport_counters.exchange_tuples,
-          "Tuples shipped over shard data planes and commit streams");
+          "Read rows shard servers shipped with their yes votes");
   counter("jecb_transport_exchange_bytes_total",
           transport_counters.exchange_bytes,
-          "Encoded row bytes shipped over shard data planes and commit streams");
+          "Encoded row bytes shard servers shipped with their yes votes");
   counter("jecb_exchange_txns_total", exchange_txns,
           "Committed txns whose read set was assembled via exchange");
   counter("jecb_exchange_tuples_total", exchange_tuples,

@@ -1,15 +1,16 @@
 #include "dist/shard_server.h"
 
 #include <cstdlib>
-#include <deque>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/topology.h"
 #include "dist/telemetry.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
+#include "runtime/exchange.h"
 
 namespace jecb {
 
@@ -18,44 +19,16 @@ using net::Frame;
 using net::MsgType;
 
 ShardServer::ShardServer(int32_t shard_id, const ShardedDatabase& sharded,
-                         const RuntimeOptions& options,
-                         std::vector<net::SocketAddr> data_addrs)
+                         const RuntimeOptions& options)
     : shard_id_(shard_id),
       sharded_(sharded),
       options_(options),
       injector_(options.faults),
-      prepare_us_(options.local_work_us + options.lock_hold_us),
-      node_(shard_id, sharded, options.exchange_batch_bytes) {
-  client_.Configure(shard_id, std::move(data_addrs), &injector_,
-                    options_.faults.wire_enabled());
-}
+      prepare_us_(options.local_work_us + options.lock_hold_us) {}
 
 void ShardServer::Reply(EventLoop& loop, int64_t peer, MsgType type,
                         const std::string& payload) {
   loop.Send(peer, type, ++reply_seq_, payload);
-}
-
-void ShardServer::MergeExchangeStats(net::ShardStatsMsg& out) const {
-  // Only valid after node_.Stop() (the join makes the node's counters
-  // visible); the client is control-thread-local so its counters are ours.
-  const ExchangeNode::Stats& ns = node_.stats();
-  out.exchange_reqs_served = ns.reqs_served;
-  out.exchange_batches_sent = ns.batches_sent + stream_batches_;
-  out.exchange_tuples_sent = ns.tuples_sent + stream_tuples_;
-  out.exchange_bytes_sent = ns.bytes_sent + stream_bytes_;
-  out.frames_received += ns.loop.frames_received;
-  out.frames_sent += ns.loop.frames_sent;
-  out.bytes_received += ns.loop.bytes_received;
-  out.bytes_sent += ns.loop.bytes_sent;
-  out.dedup_dropped += ns.loop.dedup_dropped;
-  out.peer_disconnects += ns.loop.peer_disconnects;
-
-  const TransportCounters& cc = client_.counters();
-  out.exchange_reqs_sent = cc.messages_sent;
-  out.exchange_wire_drops = cc.wire_drops;
-  out.exchange_wire_delays = cc.wire_delays;
-  out.exchange_wire_duplicates = cc.wire_duplicates;
-  out.exchange_reconnects = cc.reconnects;
 }
 
 net::ShardStatsMsg ShardServer::ControlStats(const EventLoop& loop) const {
@@ -72,9 +45,8 @@ net::ShardStatsMsg ShardServer::ControlStats(const EventLoop& loop) const {
 
 net::ShardStatsMsg ShardServer::FinalStats(const EventLoop& loop) const {
   net::ShardStatsMsg out = ControlStats(loop);
-  MergeExchangeStats(out);
-  // Topology tail: whole-process context switches (control + exchange
-  // threads) and where — if anywhere — this child was pinned.
+  // Topology tail: whole-process context switches and where — if anywhere —
+  // this child was pinned.
   const ContextSwitchCounts csw = ProcessContextSwitches();
   out.pinned_cpu = pinned_cpu_;
   out.ctx_voluntary = csw.voluntary;
@@ -178,10 +150,12 @@ void ShardServer::HandlePrepare(EventLoop& loop, int64_t peer,
     return;
   }
 
-  // Vote yes, then HOLD: block on this one peer until its coordinator
-  // resolves the transaction. Every other connection queues in the kernel —
-  // the real-wire equivalent of keeping the shard mutex across the vote
-  // round trip.
+  // Vote yes with the rows this shard serves ahead of the vote, then HOLD:
+  // block on this one peer until its coordinator resolves the transaction.
+  // Every other connection queues in the kernel — the real-wire equivalent
+  // of keeping the shard mutex across the vote round trip — so the rows
+  // shipped now are still the rows at commit.
+  SendReads(loop, peer, frag);
   vote.decision = net::VoteDecision::kYes;
   Reply(loop, peer, MsgType::kVote, vote.Encode());
   if (traced) {
@@ -192,108 +166,69 @@ void ShardServer::HandlePrepare(EventLoop& loop, int64_t peer,
 
   Frame resolution;
   while (loop.NextFrom(peer, &resolution)) {
+    // Both resolutions are one-way: the coordinator already has the rows,
+    // so releasing the hold is all that is left to do.
     if (resolution.type == MsgType::kCommit) {
       ++stats_.commits_applied;
-      if (traced) {
-        rec.Span("shard", "shard.hold", hold_t0, rec.NowUs() - hold_t0, "txn",
-                 static_cast<int64_t>(frag.txn_id), "shard", shard_id_);
-      }
-      // Exchange fires on the committing attempt only: the home shard's
-      // prepare carried the full read set, so pull the remote rows now and
-      // stream the assembly before the ack. Non-home participants (empty
-      // exchange_reads... unless the txn reads nothing, in which case the
-      // stream is just absent and the coordinator collects zero batches)
-      // ack immediately.
-      if (!frag.exchange_reads.empty()) {
-        StreamAssembledReads(loop, peer, frag);
-      }
-      net::TxnRefMsg ack;
-      ack.txn_id = frag.txn_id;
-      ack.attempt = frag.attempt;
-      Reply(loop, peer, MsgType::kCommitAck, ack.Encode());
-      return;
-    }
-    if (resolution.type == MsgType::kAbort) {
-      // Fire-and-forget from the coordinator (aborts release locks without a
-      // round trip in the in-process backend too).
+    } else if (resolution.type == MsgType::kAbort) {
       ++stats_.aborts_observed;
-      if (traced) {
-        rec.Span("shard", "shard.hold", hold_t0, rec.NowUs() - hold_t0, "txn",
-                 static_cast<int64_t>(frag.txn_id), "shard", shard_id_);
-      }
-      return;
+    } else {
+      continue;  // a stray mid-hold; keep waiting for the resolution
     }
-    // Anything else mid-hold is a stray; keep waiting for the resolution.
+    if (traced) {
+      rec.Span("shard", "shard.hold", hold_t0, rec.NowUs() - hold_t0, "txn",
+               static_cast<int64_t>(frag.txn_id), "shard", shard_id_);
+    }
+    return;
   }
   // Peer vanished (or we were stopped) while holding: presume abort, release.
   ++stats_.aborts_observed;
 }
 
-void ShardServer::StreamAssembledReads(EventLoop& loop, int64_t peer,
-                                       const net::FragmentMsg& frag) {
-  const std::vector<net::WireAccess>& reads = frag.exchange_reads;
-  std::vector<ExchangeEntry> entries(reads.size());
-
-  // Partition the read set by owner, preserving access order within each
-  // owner. Rows this shard stores (own or replicated copies) are viewed in
-  // the encoded-row store; the rest are pulled from their owners' data
-  // planes in ascending shard order and viewed in the received `frames`,
-  // which outlive the entries.
-  std::vector<std::vector<size_t>> remote_pos(
-      static_cast<size_t>(sharded_.num_shards()));
-  for (size_t i = 0; i < reads.size(); ++i) {
-    TupleId t{static_cast<TableId>(reads[i].table),
-              static_cast<RowId>(reads[i].row)};
-    int32_t owner = sharded_.PrimaryShardOf(t);
-    if (owner == kReplicated || owner == shard_id_) {
-      entries[i] = {t, sharded_.EncodedRow(t)};
-    } else {
-      remote_pos[static_cast<size_t>(owner)].push_back(i);
-    }
+void ShardServer::SendReads(EventLoop& loop, int64_t peer,
+                            const net::FragmentMsg& frag) {
+  if (frag.exchange_reads.empty()) return;  // the vote alone ends the share
+  std::vector<TupleId> reads;
+  reads.reserve(frag.exchange_reads.size());
+  for (const net::WireAccess& a : frag.exchange_reads) {
+    reads.push_back(
+        TupleId{static_cast<TableId>(a.table), static_cast<RowId>(a.row)});
   }
-  std::deque<net::Frame> frames;
-  for (int32_t owner = 0; owner < sharded_.num_shards(); ++owner) {
-    const std::vector<size_t>& pos = remote_pos[static_cast<size_t>(owner)];
-    if (pos.empty()) continue;
-    std::vector<net::WireAccess> want;
-    want.reserve(pos.size());
-    for (size_t i : pos) want.push_back(reads[i]);
-    const std::vector<net::TupleBatchEntry> rows =
-        client_.Pull(owner, frag.txn_id, frag.attempt, want, &frames);
-    for (size_t j = 0; j < pos.size(); ++j) {
-      entries[pos[j]] = {TupleId{static_cast<TableId>(rows[j].table),
-                                 static_cast<RowId>(rows[j].row)},
-                         rows[j].bytes};
+  // The rows view the encoded-row store; ExchangeBatchSpans' greedy rule
+  // bounds each batch.
+  const std::vector<ExchangeEntry> entries = MaterializeReads(sharded_, reads);
+  const std::vector<std::pair<size_t, size_t>> spans = ExchangeBatchSpans(
+      entries, ClampExchangeBatchBytes(options_.exchange_batch_bytes));
+  net::TupleBatchMsg batch;
+  batch.txn_id = frag.txn_id;
+  batch.attempt = frag.attempt;
+  batch.source_shard = shard_id_;
+  for (size_t s = 0; s < spans.size(); ++s) {
+    batch.batch_index = static_cast<uint32_t>(s);
+    batch.last = s + 1 == spans.size() ? 1 : 0;
+    batch.entries.clear();
+    for (size_t i = spans[s].first; i < spans[s].second; ++i) {
+      batch.entries.push_back({static_cast<uint32_t>(entries[i].tuple.table),
+                               static_cast<uint64_t>(entries[i].tuple.row),
+                               entries[i].bytes});
+      stats_.exchange_bytes_sent += entries[i].bytes.size();
     }
-  }
-
-  // Stream the assembled read set (access order) to the coordinator. The
-  // CommitAck the caller sends right after is the stream terminator, so an
-  // empty-span stream needs no special casing coordinator-side.
-  for (const net::TupleBatchMsg& batch :
-       BuildTupleBatches(frag.txn_id, frag.attempt, shard_id_, entries,
-                         options_.exchange_batch_bytes)) {
-    ++stream_batches_;
-    stream_tuples_ += batch.entries.size();
-    for (const net::TupleBatchEntry& e : batch.entries) {
-      stream_bytes_ += e.bytes.size();
-    }
+    ++stats_.exchange_batches_sent;
+    stats_.exchange_tuples_sent += batch.entries.size();
     Reply(loop, peer, MsgType::kTupleBatch, batch.Encode());
   }
 }
 
-net::ShardStatsMsg ShardServer::Serve(net::Socket listener,
-                                      net::Socket data_listener) {
+net::ShardStatsMsg ShardServer::Serve(net::Socket listener) {
   // The forked child inherits the coordinator's registry (partitioner and
   // replay counters); drop it, so the telemetry this shard ships carries
   // only its own series. Still single-threaded here, and no code holds a
   // metric reference across this call.
   MetricsRegistry::Default().Reset();
   if (options_.pin_threads) {
-    // Pin the whole child to its shard's planned cpu NOW, while still
-    // single-threaded: the exchange node thread spawned below inherits the
-    // affinity mask. Every child computes the same deterministic plan from
-    // the same topology, so shard i lands on plan[i] cluster-wide.
+    // Pin the child to its shard's planned cpu. Every child computes the
+    // same deterministic plan from the same topology, so shard i lands on
+    // plan[i] cluster-wide.
     std::vector<int32_t> plan =
         BuildPinPlan(DetectCpuTopology(), sharded_.num_shards());
     if (static_cast<size_t>(shard_id_) < plan.size() &&
@@ -301,14 +236,6 @@ net::ShardStatsMsg ShardServer::Serve(net::Socket listener,
       pinned_cpu_ = plan[shard_id_];
     }
   }
-  // The node thread is spawned here, AFTER fork (the child was
-  // single-threaded at fork, which keeps sanitizers happy), and serves the
-  // data plane for the whole control-loop lifetime.
-  node_.Start(std::move(data_listener));
-  // Peers' data listeners were all bound before fork, so these connects
-  // cannot flake; established now, the steady-state pull path never pays
-  // connection setup.
-  client_.ConnectAll();
   TraceRecorder::Default().SetThreadName("shard-" + std::to_string(shard_id_) +
                                          "/control");
   EventLoop loop(std::move(listener));
@@ -347,7 +274,6 @@ net::ShardStatsMsg ShardServer::Serve(net::Socket listener,
           // Injected abnormal exit (tests): leave a postmortem dump and die
           // without the stats reply, exactly like a real crash after all
           // transactions completed.
-          node_.Stop();
           DumpFlightRecorder("injected-crash");
           std::_Exit(3);
         }
@@ -357,11 +283,6 @@ net::ShardStatsMsg ShardServer::Serve(net::Socket listener,
           // flight recorder's signal path below.
           break;
         }
-        // Stop the exchange node FIRST: Drain() only shuts shards down
-        // after every client session is gone, so no exchange traffic can be
-        // in flight — and the join makes the node's counters safe to fold
-        // into the stats reply below.
-        node_.Stop();
         // Harvest counters BEFORE the stats reply so the reply reflects
         // everything up to and including the shutdown request itself.
         net::ShardStatsMsg final_stats = FinalStats(loop);
@@ -381,9 +302,6 @@ net::ShardStatsMsg ShardServer::Serve(net::Socket listener,
         break;
     }
   }
-  // SIGTERM path (no kShutdown frame): the node's loop saw the same
-  // process-wide stop flag; join it before touching its counters.
-  node_.Stop();
   if (net::StopFlagRaised()) {
     // Killed (reap-ladder SIGTERM, orphaned child): preserve the evidence.
     DumpFlightRecorder("sigterm");

@@ -9,24 +9,20 @@
 //
 //   Hello            -> HelloAck       identity + wire-version handshake
 //   Execute(frag)    -> ExecuteAck     run a single-partition txn fragment
-//   Prepare(frag)    -> Vote(yes)      run the shard-local prepare work,
-//                       ... HOLD ...   then block this shard on that one
-//   Commit           -> [TupleBatch*]  connection until the coordinator's
-//                       CommitAck      commit/abort releases it; if this
-//                       (or Abort)     shard is the txn's home, the commit
-//                                      first pulls remote read rows over
-//                                      the data plane and streams the
-//                                      assembled read set back
-//   Prepare(frag)    -> Vote(reject|down)   injected 2PC faults: no hold
+//   Prepare(frag)    -> TupleBatch*    run the shard-local prepare work,
+//                       Vote(yes)      ship the rows of frag.exchange_reads,
+//                       ... HOLD ...   vote, then block this shard on that
+//   Commit or Abort     (no reply)     one connection until the
+//                                      coordinator's one-way commit or
+//                                      abort releases it
+//   Prepare(frag)    -> Vote(reject|down)   injected 2PC faults: no rows,
+//                                           no hold
 //   Shutdown         -> ShardStats     reply final counters, stop serving
 //
-// Exchange data plane: each child also serves a second listener from a
-// dedicated ExchangeNode thread (dist/exchange.h) and owns an ExchangeClient
-// with channels to every peer's data listener, established at fork time.
-// The control thread is the only user of the client; the node thread only
-// reads immutable storage — the two never share mutable state, so the child
-// stays data-race-free with exactly one deliberate synchronization point:
-// Stop()'s join at shutdown.
+// The rows are read before the vote and shipped with it, yet they are the
+// committed read set: the shard holds from the vote until the commit, so
+// nothing can change them in between. The commit therefore needs no reply,
+// and a distributed transaction costs one round trip per participant.
 //
 // The hold is the distributed equivalent of the in-process backend holding a
 // shard's mutex across the prepare/vote round trip: the server is a
@@ -50,9 +46,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "dist/exchange.h"
 #include "net/event_loop.h"
 #include "net/socket.h"
 #include "net/wire.h"
@@ -64,30 +58,23 @@ namespace jecb {
 
 class ShardServer {
  public:
-  /// `data_addrs[i]` is shard i's data-plane listener address.
   ShardServer(int32_t shard_id, const ShardedDatabase& sharded,
-              const RuntimeOptions& options,
-              std::vector<net::SocketAddr> data_addrs);
+              const RuntimeOptions& options);
 
-  /// Serves `listener` until a Shutdown frame or SIGTERM/SIGINT, and
-  /// `data_listener` from the ExchangeNode thread for the same lifetime.
-  /// Returns the final shard-side counters (also sent to the Shutdown peer).
-  /// Clears MetricsRegistry::Default() first, so call it only in the forked
-  /// shard process.
-  net::ShardStatsMsg Serve(net::Socket listener, net::Socket data_listener);
+  /// Serves `listener` until a Shutdown frame or SIGTERM/SIGINT. Returns the
+  /// final shard-side counters (also sent to the Shutdown peer). Clears
+  /// MetricsRegistry::Default() first, so call it only in the forked shard
+  /// process.
+  net::ShardStatsMsg Serve(net::Socket listener);
 
  private:
   void HandleExecute(net::EventLoop& loop, int64_t peer, const net::Frame& frame);
   void HandlePrepare(net::EventLoop& loop, int64_t peer, const net::Frame& frame);
-  /// Home-shard commit work: pull remote read rows over the data plane,
-  /// stream the assembled read set (access order) to `peer` as kTupleBatch
-  /// frames. The CommitAck the caller sends afterwards terminates the
-  /// stream on the coordinator side.
-  void StreamAssembledReads(net::EventLoop& loop, int64_t peer,
-                            const net::FragmentMsg& frag);
-  /// Folds exchange node/client accounting into `out`'s exchange tail.
-  void MergeExchangeStats(net::ShardStatsMsg& out) const;
-  /// Control-plane counters only — safe while the exchange node is live.
+  /// Ships the rows of frag.exchange_reads (access order) to `peer` as
+  /// kTupleBatch frames; the yes vote the caller sends next terminates them.
+  void SendReads(net::EventLoop& loop, int64_t peer,
+                 const net::FragmentMsg& frag);
+  /// Protocol and loop counters, without the topology tail.
   net::ShardStatsMsg ControlStats(const net::EventLoop& loop) const;
   net::ShardStatsMsg FinalStats(const net::EventLoop& loop) const;
   /// Publishes `snapshot` into the child's metrics registry (shard-labeled)
@@ -107,18 +94,10 @@ class ShardServer {
   const FaultInjector injector_;
   const uint32_t prepare_us_;
 
-  ExchangeNode node_;
-  ExchangeClient client_;
-  /// kTupleBatch frames streamed to coordinators over the control plane
-  /// (the node counts its own data-plane batches separately).
-  uint64_t stream_batches_ = 0;
-  uint64_t stream_tuples_ = 0;
-  uint64_t stream_bytes_ = 0;
-
   uint64_t reply_seq_ = 0;
   net::ShardStatsMsg stats_;
-  /// Logical cpu this child pinned itself (and its exchange thread) to at
-  /// Serve() entry; -1 when pinning is off or the kernel refused.
+  /// Logical cpu this child pinned itself to at Serve() entry; -1 when
+  /// pinning is off or the kernel refused.
   int32_t pinned_cpu_ = -1;
 };
 

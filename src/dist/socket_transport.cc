@@ -85,7 +85,6 @@ Status SocketTransport::Start() {
   if (started_) return Status::OK();
   const int32_t n = sharded_.num_shards();
   addrs_.resize(static_cast<size_t>(n));
-  data_addrs_.resize(static_cast<size_t>(n));
   procs_.resize(static_cast<size_t>(n));
   shard_exits_.assign(static_cast<size_t>(n), ShardExitStatus{});
   shard_rtt_.clear();
@@ -123,16 +122,15 @@ Status SocketTransport::Start() {
     }
   }
 
-  // Bind every listener first: by the time any child serves, every address
-  // exists, so cross-shard connection order can never flake. Crucially this
-  // covers the exchange DATA listeners too — a child's ExchangeClient
-  // connects to its peers right after fork, and pre-fork binding is what
-  // guarantees those connects can never race a peer that hasn't bound yet.
-  auto bind_one = [&](int32_t i, const char* suffix, net::SocketAddr& addr,
-                      std::vector<net::Socket>& out) -> Status {
+  // Bind every listener first: by the time any client connects, every
+  // address exists, so connection order can never flake.
+  std::vector<net::Socket> listeners;
+  listeners.reserve(static_cast<size_t>(n));
+  for (int32_t i = 0; i < n; ++i) {
+    net::SocketAddr& addr = addrs_[static_cast<size_t>(i)];
     if (options_.transport == TransportKind::kUnixSocket) {
       addr.is_unix = true;
-      addr.path = dir + "/shard-" + std::to_string(i) + suffix;
+      addr.path = dir + "/shard-" + std::to_string(i) + ".sock";
     } else {
       addr.is_unix = false;
       addr.port = 0;  // kernel-assigned
@@ -144,18 +142,7 @@ Status SocketTransport::Start() {
       if (!port.ok()) return port.status();
       addr.port = port.value();
     }
-    out.push_back(std::move(listener).value());
-    return Status::OK();
-  };
-  std::vector<net::Socket> listeners;
-  std::vector<net::Socket> data_listeners;
-  listeners.reserve(static_cast<size_t>(n));
-  for (int32_t i = 0; i < n; ++i) {
-    Status s = bind_one(i, ".sock", addrs_[static_cast<size_t>(i)], listeners);
-    if (!s.ok()) return s;
-    s = bind_one(i, ".data.sock", data_addrs_[static_cast<size_t>(i)],
-                 data_listeners);
-    if (!s.ok()) return s;
+    listeners.push_back(std::move(listener).value());
   }
 
   // Fork the shard servers while this process is still single-threaded:
@@ -168,25 +155,22 @@ Status SocketTransport::Start() {
       return Status::Internal("fork failed for shard " + std::to_string(i));
     }
     if (pid == 0) {
-      // Child: keep only this shard's listeners (control + data); serve
-      // until kShutdown or SIGTERM; _Exit so no parent-owned state (atexit
-      // hooks, buffers, sanitizer end-of-process checks) runs twice.
+      // Child: keep only this shard's listener; serve until kShutdown or
+      // SIGTERM; _Exit so no parent-owned state (atexit hooks, buffers,
+      // sanitizer end-of-process checks) runs twice.
       net::Socket own = std::move(listeners[static_cast<size_t>(i)]);
-      net::Socket own_data = std::move(data_listeners[static_cast<size_t>(i)]);
       listeners.clear();
-      data_listeners.clear();
       net::InstallStopSignalHandler();
       if (!postmortem_dir_.empty()) {
         ConfigureFlightRecorder(PostmortemPath(postmortem_dir_, i), i);
       }
-      ShardServer server(i, sharded_, options_, data_addrs_);
-      server.Serve(std::move(own), std::move(own_data));
+      ShardServer server(i, sharded_, options_);
+      server.Serve(std::move(own));
       std::_Exit(0);
     }
     procs_[static_cast<size_t>(i)].pid = pid;
   }
   listeners.clear();  // parent: children own the listening fds now
-  data_listeners.clear();
   started_ = true;
 
   // The live-telemetry poller starts AFTER every fork: the children must
@@ -282,36 +266,44 @@ void SocketTransport::MergeCounters(const TransportCounters& c) {
   counters_.Merge(c);
 }
 
-void SocketTransport::ShutdownShard(int32_t i) {
+void SocketTransport::SendShutdown(int32_t i, ShutdownCall& call) {
   Result<net::Socket> conn = Connect(addrs_[static_cast<size_t>(i)], 10);
   if (!conn.ok()) return;  // already dead; ReapShard collects the corpse
-  net::Socket control = std::move(conn).value();
+  call.control = std::move(conn).value();
 
   // A wedged shard must not hang Drain(): bound the stats wait, then let the
   // reap ladder escalate to SIGTERM/SIGKILL.
-  SetRecvTimeout(control, 5);
+  SetRecvTimeout(call.control, 5);
 
-  TransportCounters local;
-  net::FrameBuffer in;
   uint64_t seq = 0;
   // Hello first: one last (quiet-wire, so usually best-RTT) clock offset
   // sample before the final telemetry flush that needs it. Best effort — a
   // pre-telemetry server still answers, just without the now_us tail.
-  HandshakeAndMeasureOffset(control, in, i, &seq);
-  const int64_t offset = ClockOffsetUs(i);
+  HandshakeAndMeasureOffset(call.control, call.in, i, &seq);
 
   std::string req = net::EncodeFrame(MsgType::kShutdown, ++seq, {});
-  if (!net::SendAll(control, req.data(), req.size()).ok()) return;
-  local.messages_sent += 1;
-  local.bytes_sent += req.size();
+  if (!net::SendAll(call.control, req.data(), req.size()).ok()) {
+    call.control.Close();
+    return;
+  }
+  call.counters.messages_sent += 1;
+  call.counters.bytes_sent += req.size();
+}
 
+bool SocketTransport::CollectShardStats(int32_t i, ShutdownCall& call) {
+  if (!call.control.valid()) return false;
+  const int64_t offset = ClockOffsetUs(i);
+  TransportCounters& local = call.counters;
   // The shard streams zero or more kTelemetry batches (its final recorder
   // drain + metrics snapshot), terminated by the kShardStats reply.
   net::ShardStatsMsg stats;
   bool have_stats = false;
   for (;;) {
     Frame frame;
-    if (!RecvFrameBlocking(control, in, &frame, &local.bytes_received)) break;
+    if (!RecvFrameBlocking(call.control, call.in, &frame,
+                           &local.bytes_received)) {
+      break;
+    }
     if (frame.type == MsgType::kTelemetry) {
       net::TelemetryMsg msg;
       if (msg.Decode(frame.payload)) dist::IngestTelemetry(msg, offset);
@@ -327,22 +319,12 @@ void SocketTransport::ShutdownShard(int32_t i) {
     local.shard_frames += stats.frames_received;
     local.shard_bytes += stats.bytes_received;
     local.dedup_drops += stats.dedup_dropped;
-    // Exchange tail: data-plane serving totals, plus the shard-to-shard
-    // wire-fault events the shard's ExchangeClient absorbed. The latter fold
-    // into the same wire_* counters as coordinator-channel faults — one
-    // fault discipline, one ledger (exchange_reqs_sent stays out of
-    // messages_sent: that counter is coordinator-originated traffic only).
-    local.exchange_requests += stats.exchange_reqs_served;
+    // Exchange tail: the read rows the shard shipped with its yes votes.
     local.exchange_batches += stats.exchange_batches_sent;
     local.exchange_tuples += stats.exchange_tuples_sent;
     local.exchange_bytes += stats.exchange_bytes_sent;
-    local.wire_drops += stats.exchange_wire_drops;
-    local.wire_delays += stats.exchange_wire_delays;
-    local.wire_duplicates += stats.exchange_wire_duplicates;
-    local.reconnects += stats.exchange_reconnects;
     // Topology tail: per-shard facts, so they land in the shard's
-    // RuntimeMetrics slot (mirroring where the in-process worker writes
-    // them), not in the aggregate transport counters.
+    // RuntimeMetrics slot, not in the aggregate transport counters.
     ShardMetrics& sm = metrics_->shard(i);
     sm.pinned_cpu.store(stats.pinned_cpu, std::memory_order_relaxed);
     sm.ctx_voluntary.fetch_add(stats.ctx_voluntary, std::memory_order_relaxed);
@@ -350,9 +332,10 @@ void SocketTransport::ShutdownShard(int32_t i) {
                                  std::memory_order_relaxed);
   }
   MergeCounters(local);
+  return have_stats;
 }
 
-void SocketTransport::ReapShard(int32_t i) {
+void SocketTransport::ReapShard(int32_t i, bool replied) {
   pid_t pid = procs_[static_cast<size_t>(i)].pid;
   if (pid <= 0) return;
   procs_[static_cast<size_t>(i)].pid = -1;
@@ -372,8 +355,13 @@ void SocketTransport::ReapShard(int32_t i) {
       ex.term_signal = WTERMSIG(status);
     }
   };
-  auto wait_for = [pid, &ex, &record](int millis) {
-    for (int waited = 0; waited < millis; waited += 10) {
+  // A shard that sent its stats is already on its way out, so poll for it
+  // finely; one that did not reply gets coarse polls until the next rung.
+  const std::chrono::microseconds step(replied ? 100 : 10000);
+  auto wait_for = [pid, step, &ex, &record](int millis) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(millis);
+    for (;;) {
       int status = 0;
       pid_t r = waitpid(pid, &status, WNOHANG);
       if (r == pid) {
@@ -388,9 +376,9 @@ void SocketTransport::ReapShard(int32_t i) {
         ex.exit_code = 0;
         return true;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(step);
     }
-    return false;
   };
   if (wait_for(2000)) return;
   ex.forced_term = true;
@@ -409,20 +397,24 @@ void SocketTransport::Drain() {
   // never race a shard's final drain on a second connection.
   poller_stop_.store(true, std::memory_order_relaxed);
   if (poller_.joinable()) poller_.join();
-  for (int32_t i = 0; i < sharded_.num_shards(); ++i) {
-    ShutdownShard(i);
-    ReapShard(i);
+  // Every shard gets its kShutdown before any reply is awaited, so the
+  // shards flush their telemetry and exit side by side.
+  const size_t n = static_cast<size_t>(sharded_.num_shards());
+  std::vector<ShutdownCall> calls(n);
+  for (size_t i = 0; i < n; ++i) SendShutdown(static_cast<int32_t>(i), calls[i]);
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t shard = static_cast<int32_t>(i);
+    ReapShard(shard, CollectShardStats(shard, calls[i]));
     if (!postmortem_dir_.empty()) {
-      std::string path = PostmortemPath(postmortem_dir_, i);
+      std::string path = PostmortemPath(postmortem_dir_, shard);
       struct stat st{};
       if (stat(path.c_str(), &st) == 0 && st.st_size > 0) {
-        shard_exits_[static_cast<size_t>(i)].postmortem_path = path;
+        shard_exits_[i].postmortem_path = path;
       }
     }
   }
   if (options_.transport == TransportKind::kUnixSocket) {
     for (const net::SocketAddr& addr : addrs_) unlink(addr.path.c_str());
-    for (const net::SocketAddr& addr : data_addrs_) unlink(addr.path.c_str());
     if (!owned_socket_dir_.empty()) rmdir(owned_socket_dir_.c_str());
   }
   // Succeeds only when no child dumped: postmortems outlive the transport.
@@ -458,30 +450,58 @@ class SocketChannel : public ShardChannel {
   SocketChannel(SocketTransport* transport, int client_id)
       : transport_(transport),
         client_id_(static_cast<uint32_t>(client_id)),
-        channels_(static_cast<size_t>(transport->sharded_.num_shards())) {
+        channels_(static_cast<size_t>(transport->sharded_.num_shards())),
+        shares_(channels_.size()),
+        cursors_(channels_.size()) {
     const bool wire_faults = transport->options_.faults.wire_enabled();
     for (size_t i = 0; i < channels_.size(); ++i) {
       channels_[i].Configure(transport->addrs_[i], static_cast<int32_t>(i),
-                             &transport->injector_, wire_faults, &counters_,
-                             "coord");
+                             &transport->injector_, wire_faults, &counters_);
     }
     prepared_.reserve(channels_.size());
   }
 
   ~SocketChannel() override { transport_->MergeCounters(counters_); }
 
+  /// One Execute/ExecuteAck round trip.
   void Execute(const ClassifiedTxn& txn) override {
-    Call(txn.home, MsgType::kExecute, WholeFragment(txn).Encode(), txn.txn_id,
-         0, MsgType::kExecuteAck);
+    const auto start = std::chrono::steady_clock::now();
+    Send(txn.home, MsgType::kExecute, WholeFragment(txn).Encode(), txn.txn_id, 0)
+        .RecvType(MsgType::kExecuteAck);
+    RecordRtt(txn.home, start);
   }
 
   /// One Prepare/Vote round trip. The vote carries the shard's own fault
-  /// decisions (same plan, same pure decision function as in-process).
+  /// decisions (same plan, same pure decision function as in-process); a yes
+  /// vote comes after the rows this shard serves, as in-order kTupleBatch
+  /// frames whose entries view the frames kept in frames_.
   Vote Prepare(const ClassifiedTxn& txn, uint32_t attempt,
                int32_t shard) override {
-    Frame frame = Call(shard, MsgType::kPrepare,
-                       SliceFragment(txn, attempt, shard).Encode(), txn.txn_id,
-                       attempt, MsgType::kVote);
+    const auto start = std::chrono::steady_clock::now();
+    FaultyChannel& ch = Send(shard, MsgType::kPrepare,
+                             SliceFragment(txn, attempt, shard).Encode(),
+                             txn.txn_id, attempt);
+    std::vector<net::TupleBatchEntry>& share = shares_[static_cast<size_t>(shard)];
+    share.clear();
+    Frame frame;
+    uint32_t batches = 0;
+    for (;;) {
+      frame = ch.RecvAny();
+      if (frame.type == MsgType::kVote) break;
+      if (frame.type != MsgType::kTupleBatch) continue;  // stray: skip
+      const Frame& kept = frames_.emplace_back(std::move(frame));
+      net::TupleBatchMsg batch;
+      if (!batch.Decode(kept.payload)) {
+        TransportPanic("exchange", shard, Status::Internal("bad TupleBatchMsg"));
+      }
+      if (batch.txn_id != txn.txn_id || batch.attempt != attempt ||
+          batch.batch_index != batches++) {
+        TransportPanic("exchange", shard,
+                       Status::Internal("tuple batch stream out of order"));
+      }
+      share.insert(share.end(), batch.entries.begin(), batch.entries.end());
+    }
+    RecordRtt(shard, start);
     net::VoteMsg msg;
     if (!msg.Decode(frame.payload)) {
       TransportPanic("vote", shard, Status::Internal("undecodable VoteMsg"));
@@ -503,43 +523,47 @@ class SocketChannel : public ShardChannel {
   /// Fire-and-forget, like the in-process backend releasing locks without a
   /// round trip. Delivery is still guaranteed: the drop fault retransmits.
   void Abort(const ClassifiedTxn& txn, uint32_t attempt) override {
-    const std::string payload = TxnRef(txn, attempt);
-    for (int32_t p : prepared_) {
-      Ready(p, txn.txn_id).SendWithFaults(MsgType::kAbort, payload, txn.txn_id,
-                                          attempt);
-    }
-    prepared_.clear();
+    Resolve(txn, attempt, MsgType::kAbort);
+    frames_.clear();
   }
 
-  /// Each ack releases that shard's hold. The home shard's commit is the
-  /// exchange trigger: it streams the assembled read set (pulling remote
-  /// rows over the data plane while still holding) before its ack.
+  /// One-way like Abort: the votes already brought every read row, so the
+  /// shards are released first and the read set is assembled afterwards.
   void Commit(const ClassifiedTxn& txn, uint32_t attempt) override {
-    const std::string payload = TxnRef(txn, attempt);
-    for (int32_t p : prepared_) {
-      if (p == txn.home) {
-        CommitHomeAndCollect(txn, attempt, payload);
-      } else {
-        Call(p, MsgType::kCommit, payload, txn.txn_id, attempt,
-             MsgType::kCommitAck);
-      }
-    }
-    prepared_.clear();
+    Resolve(txn, attempt, MsgType::kCommit);
+    AssembleReads(txn);
+    frames_.clear();
   }
 
  private:
-  static std::string TxnRef(const ClassifiedTxn& txn, uint32_t attempt) {
+  /// Sends `type` to every shard this attempt prepared.
+  void Resolve(const ClassifiedTxn& txn, uint32_t attempt, MsgType type) {
     net::TxnRefMsg ref;
     ref.txn_id = txn.txn_id;
     ref.attempt = attempt;
-    return ref.Encode();
+    const std::string payload = ref.Encode();
+    for (int32_t p : prepared_) {
+      Send(p, type, payload, txn.txn_id, attempt);
+    }
+    prepared_.clear();
   }
 
-  /// Commits the home shard and collects the kTupleBatch stream it assembles
-  /// (terminated by the CommitAck), then feeds the entries through the same
-  /// BuildExchangeOutcome accounting the in-process backend uses.
-  void CommitHomeAndCollect(const ClassifiedTxn& txn, uint32_t attempt,
-                            const std::string& payload);
+  /// Merges the participants' shares back into the read set, in access
+  /// order, and feeds it through the same BuildExchangeOutcome accounting
+  /// the in-process backend uses.
+  void AssembleReads(const ClassifiedTxn& txn);
+
+  /// The participant that serves read `t`: its owner, or the home for a
+  /// replicated row (or a row whose owner does not take part).
+  int32_t ServerOf(const ClassifiedTxn& txn, TupleId t) const {
+    const int32_t owner = transport_->sharded_.PrimaryShardOf(t);
+    if (owner != kReplicated &&
+        std::binary_search(txn.participants.begin(), txn.participants.end(),
+                           owner)) {
+      return owner;
+    }
+    return txn.home;
+  }
 
   /// Readies `shard`'s channel for a message of `txn_id`: disconnect fault,
   /// (re)connect, Hello handshake on a fresh connection.
@@ -568,22 +592,23 @@ class SocketChannel : public ShardChannel {
     return ch;
   }
 
-  /// One request/response round trip, RTT recorded against `shard`.
-  Frame Call(int32_t shard, MsgType type, const std::string& payload,
-             uint64_t txn_id, uint32_t attempt, MsgType want) {
-    auto start = std::chrono::steady_clock::now();
+  /// Readies `shard`'s channel and sends one message on it.
+  FaultyChannel& Send(int32_t shard, MsgType type, const std::string& payload,
+                      uint64_t txn_id, uint32_t attempt) {
     FaultyChannel& ch = Ready(shard, txn_id);
     ch.SendWithFaults(type, payload, txn_id, attempt);
-    Frame reply = ch.RecvType(want);
+    return ch;
+  }
+
+  /// Records one request->response latency against `shard`.
+  void RecordRtt(int32_t shard, std::chrono::steady_clock::time_point start) {
     transport_->shard_rtt_[static_cast<size_t>(shard)]->Record(ElapsedUs(start));
-    return reply;
   }
 
   net::FragmentMsg WholeFragment(const ClassifiedTxn& txn) const;
   /// Only the accesses shard `p` stores (replicated writes included): the
-  /// slice of the transaction that shard actually prepares. The HOME shard's
-  /// slice additionally carries the txn's full read set so a commit can
-  /// assemble it without a second coordinator round trip.
+  /// slice of the transaction that shard actually prepares, plus the reads
+  /// it serves (ServerOf) in access order.
   net::FragmentMsg SliceFragment(const ClassifiedTxn& txn, uint32_t attempt,
                                  int32_t p) const;
 
@@ -593,60 +618,38 @@ class SocketChannel : public ShardChannel {
   std::vector<FaultyChannel> channels_;
   /// Shards that voted yes in the current attempt, in ascending order.
   std::vector<int32_t> prepared_;
+  /// The current attempt's kTupleBatch frames; a deque never moves its
+  /// elements, so the entries in shares_ stay valid until it is cleared.
+  std::deque<Frame> frames_;
+  /// Per shard: the rows its last prepare shipped, in access order.
+  std::vector<std::vector<net::TupleBatchEntry>> shares_;
+  /// Per shard: AssembleReads' read position in shares_.
+  std::vector<size_t> cursors_;
+  std::vector<ExchangeEntry> entries_;
   TransportCounters counters_;
 };
 
-void SocketChannel::CommitHomeAndCollect(const ClassifiedTxn& txn,
-                                         uint32_t attempt,
-                                         const std::string& payload) {
-  auto start = std::chrono::steady_clock::now();
-  FaultyChannel& ch = Ready(txn.home, txn.txn_id);
-  ch.SendWithFaults(MsgType::kCommit, payload, txn.txn_id, attempt);
-
-  // Collect the assembled read set: zero or more in-order kTupleBatch
-  // frames, terminated by the CommitAck (a read-free txn streams nothing, so
-  // the terminator doubles as the empty-stream case). The batches' entries
-  // view the frames, which stay in place in the deque while they are used.
-  std::deque<Frame> frames;
-  std::vector<net::TupleBatchMsg> batches;
-  for (;;) {
-    Frame frame = ch.RecvAny();
-    if (frame.type == MsgType::kCommitAck) break;
-    if (frame.type != MsgType::kTupleBatch) continue;  // stray: skip
-    frames.push_back(std::move(frame));
-    net::TupleBatchMsg& batch = batches.emplace_back();
-    if (!batch.Decode(frames.back().payload)) {
-      TransportPanic("exchange", txn.home,
-                     Status::Internal("bad TupleBatchMsg"));
-    }
-    if (batch.txn_id != txn.txn_id || batch.batch_index != batches.size() - 1) {
-      TransportPanic("exchange", txn.home,
-                     Status::Internal("tuple batch stream out of order"));
-    }
-  }
-  transport_->shard_rtt_[static_cast<size_t>(txn.home)]->Record(ElapsedUs(start));
-
-  size_t want = 0;
+void SocketChannel::AssembleReads(const ClassifiedTxn& txn) {
+  std::fill(cursors_.begin(), cursors_.end(), 0);
+  entries_.clear();
   for (const Access& a : txn.txn->accesses) {
-    if (!a.write) ++want;
-  }
-  std::vector<ExchangeEntry> entries;
-  entries.reserve(want);
-  for (const net::TupleBatchMsg& batch : batches) {
-    for (const net::TupleBatchEntry& e : batch.entries) {
-      entries.push_back({TupleId{static_cast<TableId>(e.table),
-                                 static_cast<RowId>(e.row)},
-                         e.bytes});
+    if (a.write) continue;
+    const int32_t server = ServerOf(txn, a.tuple);
+    const std::vector<net::TupleBatchEntry>& share =
+        shares_[static_cast<size_t>(server)];
+    size_t& next = cursors_[static_cast<size_t>(server)];
+    if (next == share.size() ||
+        share[next].table != static_cast<uint32_t>(a.tuple.table) ||
+        share[next].row != static_cast<uint64_t>(a.tuple.row)) {
+      TransportPanic("exchange", server,
+                     Status::Internal("vote rows do not match the read set"));
     }
-  }
-  if (entries.size() != want) {
-    TransportPanic("exchange", txn.home,
-                   Status::Internal("assembled read set truncated"));
+    entries_.push_back({a.tuple, share[next++].bytes});
   }
   // Same accounting path as the in-process backend, fed with the bytes that
   // actually crossed the wire — the parity tests compare digests to prove
   // the two are identical.
-  BuildExchangeOutcome(transport_->sharded_, txn, entries,
+  BuildExchangeOutcome(transport_->sharded_, txn, entries_,
                        transport_->options_.exchange_batch_bytes,
                        transport_->metrics_);
 }
@@ -673,23 +676,17 @@ net::FragmentMsg SocketChannel::SliceFragment(const ClassifiedTxn& txn,
   frag.attempt = attempt;
   frag.class_id = txn.txn->class_id;
   for (const Access& a : txn.txn->accesses) {
-    int32_t owner = transport_->sharded_.PrimaryShardOf(a.tuple);
+    const int32_t owner = transport_->sharded_.PrimaryShardOf(a.tuple);
+    const net::WireAccess wire{static_cast<uint32_t>(a.tuple.table),
+                               static_cast<uint64_t>(a.tuple.row),
+                               static_cast<uint8_t>(a.write ? 1 : 0)};
     // Replicated reads are satisfied by any copy; replicated writes must be
     // applied on every participant, so every slice carries them.
-    if (owner != p && !(owner == kReplicated && a.write)) continue;
-    frag.accesses.push_back({static_cast<uint32_t>(a.tuple.table),
-                             static_cast<uint64_t>(a.tuple.row),
-                             static_cast<uint8_t>(a.write ? 1 : 0)});
-  }
-  if (p == txn.home) {
-    // The home shard assembles the read set at commit time; its prepare
-    // carries the FULL read set (access order, duplicates preserved) so no
-    // extra coordinator round is needed. Other slices leave the tail empty,
-    // which encodes as no tail at all (net/wire.h).
-    for (const Access& a : txn.txn->accesses) {
-      if (a.write) continue;
-      frag.exchange_reads.push_back({static_cast<uint32_t>(a.tuple.table),
-                                     static_cast<uint64_t>(a.tuple.row), 0});
+    if (owner == p || (owner == kReplicated && a.write)) {
+      frag.accesses.push_back(wire);
+    }
+    if (!a.write && ServerOf(txn, a.tuple) == p) {
+      frag.exchange_reads.push_back(wire);
     }
   }
   return frag;

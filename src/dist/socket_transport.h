@@ -1,22 +1,22 @@
 // The real-wire backend: one forked ShardServer process per shard, one
 // socket connection per (client session, shard), and on each client thread
-// a TransportSession whose SocketChannel sends actual
-// prepare/vote/commit/ack message rounds instead of the in-process
-// backend's simulated sleeps.
+// a TransportSession whose SocketChannel sends actual execute and
+// prepare/vote rounds and one-way commits instead of the in-process
+// backend's simulated sleeps. Each yes vote brings the read rows its shard
+// serves, so the coordinator assembles the committed read set without any
+// further message, and no shard ever talks to another.
 //
-// Process model: Start() binds every shard's listeners — the control
-// listener and the exchange DATA listener — and THEN forks, while the
-// parent is still single-threaded: the children inherit the immutable
-// ShardedDatabase copy-on-write (no serialization) and a clean address
-// space (fork before client threads is what keeps this sanitizer-safe).
-// Each child keeps only its own listeners plus the full data-address table
-// (so its ExchangeClient can reach every peer's data plane directly,
-// bypassing the coordinator), installs the SIGTERM handler and serves
-// until the Drain() control round sends it kShutdown; the parent
-// reaps it with an escalating waitpid -> SIGTERM -> SIGKILL ladder so a
-// wedged shard can never hang the replay, and records each child's exit
-// status in TransportReport::shard_exits so abnormal deaths (a TransportPanic
-// abort, an OOM kill) are never silently absorbed by the ladder.
+// Process model: Start() binds one listener per shard and THEN forks,
+// while the parent is still single-threaded: the children inherit the
+// immutable ShardedDatabase copy-on-write (no serialization) and a clean,
+// single-threaded address space (fork before client threads is what keeps
+// this sanitizer-safe). Each child keeps only its own listener, installs
+// the SIGTERM handler and serves until Drain() sends it kShutdown; Drain()
+// shuts every shard down before waiting on any, then reaps each child with
+// an escalating waitpid -> SIGTERM -> SIGKILL ladder so a wedged shard can
+// never hang the replay, and records each child's exit status in
+// TransportReport::shard_exits so abnormal deaths (a TransportPanic abort,
+// an OOM kill) are never silently absorbed by the ladder.
 //
 // Accounting: the session's coordinator (runtime/coordinator.h) is the same
 // code the in-process backend runs, fed by the shard's VoteMsg (which
@@ -67,9 +67,9 @@ class SocketTransport : public Transport {
 
   std::unique_ptr<TransportSession> NewSession(int client_id) override;
 
-  /// Shuts the shards down over a control connection (kShutdown ->
-  /// kShardStats harvests their counters), reaps every child process, and
-  /// removes the socket files. Idempotent.
+  /// Shuts the shards down over control connections (kShutdown to every
+  /// shard, then each kShardStats reply harvests its counters), reaps every
+  /// child process, and removes the socket files. Idempotent.
   void Drain() override;
 
   TransportReport Report() const override;
@@ -83,6 +83,14 @@ class SocketTransport : public Transport {
 
   struct ShardProc {
     pid_t pid = -1;
+  };
+
+  /// One shard's shutdown control connection, open from SendShutdown to
+  /// CollectShardStats.
+  struct ShutdownCall {
+    net::Socket control;  ///< invalid when the shard could not be reached
+    net::FrameBuffer in;
+    TransportCounters counters;
   };
 
   /// Sessions fold their local wire counters in here when they die;
@@ -107,15 +115,20 @@ class SocketTransport : public Transport {
   /// therefore OutcomeSignature) is unaffected.
   void PollTelemetry();
 
-  /// Sends kShutdown to shard `i` and folds its kShardStats reply (control
-  /// loop + exchange tail) into the transport counters; kTelemetry frames
-  /// arriving before the stats are ingested into ClusterTelemetry. Best
-  /// effort: a dead shard is simply reaped.
-  void ShutdownShard(int32_t i);
+  /// Connects to shard `i`, samples its clock offset with a Hello and sends
+  /// kShutdown without waiting for the reply. Best effort: a dead shard
+  /// leaves `call.control` invalid and is simply reaped.
+  void SendShutdown(int32_t i, ShutdownCall& call);
+  /// Folds shard `i`'s kShardStats reply (loop counters + exchange tail)
+  /// into the transport counters; kTelemetry frames arriving before the
+  /// stats are ingested into ClusterTelemetry. Returns whether the stats
+  /// arrived.
+  bool CollectShardStats(int32_t i, ShutdownCall& call);
   /// Waits for child `i`, escalating WNOHANG -> SIGTERM -> SIGKILL, and
   /// records its exit status (code, signal, which rung forced it) in
-  /// shard_exits_.
-  void ReapShard(int32_t i);
+  /// shard_exits_. `replied`: the shard sent its stats, so it is exiting
+  /// and is polled for in fine steps.
+  void ReapShard(int32_t i, bool replied);
 
   const ShardedDatabase& sharded_;
   const RuntimeOptions options_;
@@ -123,9 +136,6 @@ class SocketTransport : public Transport {
   const FaultInjector injector_;
 
   std::vector<net::SocketAddr> addrs_;
-  /// Exchange data-plane listener addresses; every child gets the full
-  /// table at fork time.
-  std::vector<net::SocketAddr> data_addrs_;
   std::vector<ShardProc> procs_;
   std::vector<ShardExitStatus> shard_exits_;
   std::string owned_socket_dir_;  ///< mkdtemp'd; removed by Drain()

@@ -21,7 +21,6 @@ void TransportCounters::Merge(const TransportCounters& o) {
   dedup_drops += o.dedup_drops;
   shard_frames += o.shard_frames;
   shard_bytes += o.shard_bytes;
-  exchange_requests += o.exchange_requests;
   exchange_batches += o.exchange_batches;
   exchange_tuples += o.exchange_tuples;
   exchange_bytes += o.exchange_bytes;
@@ -33,8 +32,8 @@ namespace {
 /// the calling client thread. An execute takes the home shard's lock and
 /// spins the local work under it. A prepare takes the participant's lock and
 /// spins the prepare work under it; the locks stay held across the simulated
-/// vote round trip and are released before the exchange and the commit
-/// round trip. While a transaction holds a shard's lock, no other
+/// vote round trip and are released by the commit, which, like the socket
+/// backend's, is one-way. While a transaction holds a shard's lock, no other
 /// transaction executes or prepares on that shard.
 class InProcessChannel : public ShardChannel {
  public:
@@ -98,17 +97,15 @@ class InProcessChannel : public ShardChannel {
   }
 
   void Commit(const ClassifiedTxn& txn, uint32_t /*attempt*/) override {
-    // Votes travel back while every participant still holds its lock.
+    // Votes, and the read rows with them, travel back while every
+    // participant still holds its lock.
     SimulateNetworkDelay(options_.round_trip_us);
     held_.clear();
     // The committing attempt assembles the read set straight from storage:
     // the same entries and the same BuildExchangeOutcome accounting as the
-    // socket backends' home-shard assembly.
+    // socket backends' assembly of the rows their votes brought.
     AssembleLocalExchange(sharded_, txn, options_.exchange_batch_bytes,
                           metrics_);
-    // Commit messages out, acks back: latency the client still observes,
-    // but the shards are already free.
-    SimulateNetworkDelay(options_.round_trip_us);
   }
 
  private:

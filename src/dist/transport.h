@@ -4,10 +4,11 @@
 // the one 2PC coordinator. A backend only supplies the session's
 // ShardChannel: the in-process one locks shard mutexes and simulates costs
 // on the calling client thread (the deterministic-test reference); the
-// socket one sends real 2PC message rounds to forked shard-server processes
-// (dist/socket_transport.h). Both feed the SAME RuntimeMetrics through the
-// SAME session code, which is what makes ReplayReport::OutcomeSignature()
-// backend-invariant.
+// socket one sends real 2PC messages to forked shard-server processes
+// (dist/socket_transport.h). Both model the same protocol — one round trip
+// per prepare, whose yes votes carry the read rows, and a one-way commit —
+// and feed the SAME RuntimeMetrics through the SAME session code, which is
+// what makes ReplayReport::OutcomeSignature() backend-invariant.
 //
 // Lifecycle contract (Replay() enforces the order):
 //   Start() -> NewSession() per client thread -> sessions destroyed ->
@@ -50,13 +51,12 @@ struct TransportCounters {
   uint64_t dedup_drops = 0;      ///< duplicates the receivers suppressed
   uint64_t shard_frames = 0;     ///< frames the shard servers processed
   uint64_t shard_bytes = 0;      ///< bytes the shard servers received
-  // Exchange data plane (shard-to-shard pulls + home->coordinator batch
-  // streams), harvested from the shards' ShardStatsMsg tails at shutdown.
-  // Wire-level like everything else here: the backend-invariant exchange
-  // accounting lives in RuntimeMetrics (jecb_exchange_*), not in these.
-  uint64_t exchange_requests = 0;  ///< unique kExchangeReq served
+  // Read rows the shards shipped with their yes votes, harvested from the
+  // ShardStatsMsg tails at shutdown. Wire-level like everything else here:
+  // a vote whose attempt then aborts still counts. The backend-invariant
+  // exchange accounting lives in RuntimeMetrics (jecb_exchange_*).
   uint64_t exchange_batches = 0;   ///< kTupleBatch frames shards emitted
-  uint64_t exchange_tuples = 0;    ///< rows shards materialized for peers
+  uint64_t exchange_tuples = 0;    ///< rows shards shipped
   uint64_t exchange_bytes = 0;     ///< encoded row bytes shards shipped
 
   void Merge(const TransportCounters& o);

@@ -18,13 +18,12 @@ void TransportPanic(const char* what, int32_t shard, const Status& status) {
 
 void FaultyChannel::Configure(net::SocketAddr addr, int32_t peer_shard,
                               const FaultInjector* injector, bool wire_faults,
-                              TransportCounters* counters, const char* what) {
+                              TransportCounters* counters) {
   addr_ = std::move(addr);
   peer_ = peer_shard;
   injector_ = injector;
   wire_faults_ = wire_faults && injector != nullptr;
   counters_ = counters;
-  what_ = what;
 }
 
 void FaultyChannel::Reset() {
@@ -37,7 +36,7 @@ void FaultyChannel::Reset() {
 bool FaultyChannel::EnsureConnected() {
   if (connected_) return false;
   Result<net::Socket> conn = Connect(addr_);
-  if (!conn.ok()) TransportPanic(what_, peer_, conn.status());
+  if (!conn.ok()) TransportPanic("coord", peer_, conn.status());
   sock_ = std::move(conn).value();
   connected_ = true;
   return true;
@@ -57,7 +56,7 @@ void FaultyChannel::TouchForTxn(uint64_t txn_id) {
 
 void FaultyChannel::RawSend(const std::string& bytes) {
   Status s = net::SendAll(sock_, bytes.data(), bytes.size());
-  if (!s.ok()) TransportPanic(what_, peer_, s);
+  if (!s.ok()) TransportPanic("coord", peer_, s);
   counters_->messages_sent += 1;
   counters_->bytes_sent += bytes.size();
 }
@@ -96,11 +95,11 @@ Frame FaultyChannel::RecvAny() {
       return frame;
     }
     if (res == net::FrameBuffer::NextResult::kCorrupt) {
-      TransportPanic(what_, peer_, in_.error());
+      TransportPanic("coord", peer_, in_.error());
     }
     net::RecvSomeResult r = net::RecvSome(sock_, chunk, sizeof(chunk));
-    if (r.n == 0) TransportPanic(what_, peer_, Status::Internal("peer closed"));
-    if (r.n < 0 && !r.status.ok()) TransportPanic(what_, peer_, r.status);
+    if (r.n == 0) TransportPanic("coord", peer_, Status::Internal("peer closed"));
+    if (r.n < 0 && !r.status.ok()) TransportPanic("coord", peer_, r.status);
     if (r.n > 0) {
       in_.Feed(chunk, static_cast<size_t>(r.n));
       counters_->bytes_received += static_cast<uint64_t>(r.n);

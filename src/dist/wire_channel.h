@@ -1,10 +1,7 @@
-// FaultyChannel: one coordinator->shard or shard->shard connection with the
-// wire-fault discipline applied on the send side. Shared by the
-// coordinator's control channels (dist/socket_transport.cc) and the home
-// shard's exchange data channels (dist/exchange.h), so both planes mask
-// drops/duplicates/delays/disconnects IDENTICALLY — the data plane cannot
-// drift from the control plane's fault contract because they run the same
-// code.
+// FaultyChannel: one coordinator->shard connection with the wire-fault
+// discipline applied on the send side: drops, duplicates, delays and
+// disconnects are masked here, so they never reach the 2PC outcome. Every
+// client session holds one per shard (dist/socket_transport.cc).
 //
 // Reconnect discipline (the EventLoop watermark contract — see
 // net/event_loop.h): Reset() is the ONE teardown point, and it clears the
@@ -43,7 +40,7 @@ class FaultyChannel {
   /// `injector` may be null when `wire_faults` is false.
   void Configure(net::SocketAddr addr, int32_t peer_shard,
                  const FaultInjector* injector, bool wire_faults,
-                 TransportCounters* counters, const char* what);
+                 TransportCounters* counters);
 
   bool connected() const { return connected_; }
   int32_t peer_shard() const { return peer_; }
@@ -83,7 +80,7 @@ class FaultyChannel {
   net::Frame RecvType(net::MsgType want);
 
   /// Blocks until the next frame of ANY type arrives (the coordinator's
-  /// commit-collect loop, which interleaves kTupleBatch and kCommitAck).
+  /// prepare loop, which reads kTupleBatch frames up to the kVote).
   net::Frame RecvAny();
 
  private:
@@ -92,7 +89,6 @@ class FaultyChannel {
   const FaultInjector* injector_ = nullptr;
   bool wire_faults_ = false;
   TransportCounters* counters_ = nullptr;
-  const char* what_ = "channel";
 
   net::Socket sock_;
   net::FrameBuffer in_;

@@ -32,10 +32,10 @@
 // below it (nothing duplicated is re-accepted). A duplicate can never cross
 // a reconnect: the old connection's queue dies with its Peer.
 //
-// Stop conditions: RequestStop() (atomic, callable from another thread — the
-// shard's exchange node is stopped this way) or the process-wide stop flag
-// (async-signal-safe; see InstallStopSignalHandler) — both make Next()
-// return false after at most one poll timeout.
+// Stop conditions: RequestStop() (atomic, so callable from another thread)
+// or the process-wide stop flag (async-signal-safe; see
+// InstallStopSignalHandler) — both make Next() return false after at most
+// one poll timeout.
 #pragma once
 
 #include <atomic>

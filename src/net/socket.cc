@@ -116,8 +116,18 @@ Result<uint16_t> BoundTcpPort(const Socket& listener) {
 
 Result<Socket> Accept(const Socket& listener) {
   for (;;) {
-    int fd = accept(listener.fd(), nullptr, nullptr);
-    if (fd >= 0) return Socket(fd);
+    sockaddr_storage peer{};
+    socklen_t len = sizeof(peer);
+    int fd = accept(listener.fd(), reinterpret_cast<sockaddr*>(&peer), &len);
+    if (fd >= 0) {
+      if (peer.ss_family == AF_INET || peer.ss_family == AF_INET6) {
+        // A shard replies with several frames in a row (tuple batches, then
+        // the vote); with Nagle on, the last one waits for a delayed ACK.
+        int one = 1;
+        setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      }
+      return Socket(fd);
+    }
     if (errno == EINTR) continue;
     return Errno("accept");
   }

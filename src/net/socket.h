@@ -72,7 +72,8 @@ Result<Socket> Listen(const SocketAddr& addr, int backlog = 64);
 Result<uint16_t> BoundTcpPort(const Socket& listener);
 
 /// Accepts one pending connection; blocks unless the listener is
-/// non-blocking (in which case EAGAIN is surfaced as a Status).
+/// non-blocking (in which case EAGAIN is surfaced as a Status). A TCP peer
+/// gets TCP_NODELAY, as Connect's side does.
 Result<Socket> Accept(const Socket& listener);
 
 /// Connects to `addr`, retrying briefly on ECONNREFUSED/ENOENT so a client

@@ -25,7 +25,7 @@ const std::array<uint32_t, 256>& CrcTable() {
 
 bool ValidType(uint8_t t) {
   return t >= static_cast<uint8_t>(MsgType::kHello) &&
-         t <= static_cast<uint8_t>(MsgType::kTelemetry);
+         t <= static_cast<uint8_t>(MsgType::kTelemetry) && t != 8 && t != 12;
 }
 
 }  // namespace
@@ -39,11 +39,9 @@ std::string_view MsgTypeName(MsgType t) {
     case MsgType::kPrepare: return "prepare";
     case MsgType::kVote: return "vote";
     case MsgType::kCommit: return "commit";
-    case MsgType::kCommitAck: return "commit_ack";
     case MsgType::kAbort: return "abort";
     case MsgType::kShutdown: return "shutdown";
     case MsgType::kShardStats: return "shard_stats";
-    case MsgType::kExchangeReq: return "exchange_req";
     case MsgType::kTupleBatch: return "tuple_batch";
     case MsgType::kTelemetryReq: return "telemetry_req";
     case MsgType::kTelemetry: return "telemetry";
@@ -195,8 +193,8 @@ std::string FragmentMsg::Encode() const {
   w.U32(attempt);
   w.U32(class_id);
   EncodeAccessList(w, accesses);
-  // Back-compat tail: only present when there is an exchange plan, so
-  // non-exchange frames stay byte-identical to the PR 6 encoding.
+  // Back-compat tail: only present when the fragment carries reads to
+  // serve, so every other frame keeps the tail-less encoding.
   if (!exchange_reads.empty()) EncodeAccessList(w, exchange_reads);
   return w.Take();
 }
@@ -256,15 +254,9 @@ std::string ShardStatsMsg::Encode() const {
   w.U64(bytes_sent);
   w.U64(dedup_dropped);
   w.U64(peer_disconnects);
-  w.U64(exchange_reqs_served);
   w.U64(exchange_batches_sent);
   w.U64(exchange_tuples_sent);
   w.U64(exchange_bytes_sent);
-  w.U64(exchange_reqs_sent);
-  w.U64(exchange_wire_drops);
-  w.U64(exchange_wire_delays);
-  w.U64(exchange_wire_duplicates);
-  w.U64(exchange_reconnects);
   w.U32(static_cast<uint32_t>(pinned_cpu));
   w.U64(ctx_voluntary);
   w.U64(ctx_involuntary);
@@ -280,18 +272,12 @@ bool ShardStatsMsg::Decode(std::string_view payload) {
         r.U64(&dedup_dropped) && r.U64(&peer_disconnects))) {
     return false;
   }
-  exchange_reqs_served = exchange_batches_sent = exchange_tuples_sent = 0;
-  exchange_bytes_sent = exchange_reqs_sent = 0;
-  exchange_wire_drops = exchange_wire_delays = 0;
-  exchange_wire_duplicates = exchange_reconnects = 0;
+  exchange_batches_sent = exchange_tuples_sent = exchange_bytes_sent = 0;
   pinned_cpu = -1;
   ctx_voluntary = ctx_involuntary = 0;
   if (r.AtEnd()) return true;  // legacy encoder: no exchange tail
-  if (!(r.U64(&exchange_reqs_served) && r.U64(&exchange_batches_sent) &&
-        r.U64(&exchange_tuples_sent) && r.U64(&exchange_bytes_sent) &&
-        r.U64(&exchange_reqs_sent) && r.U64(&exchange_wire_drops) &&
-        r.U64(&exchange_wire_delays) && r.U64(&exchange_wire_duplicates) &&
-        r.U64(&exchange_reconnects))) {
+  if (!(r.U64(&exchange_batches_sent) && r.U64(&exchange_tuples_sent) &&
+        r.U64(&exchange_bytes_sent))) {
     return false;
   }
   if (r.AtEnd()) return true;  // pre-topology encoder: no topology tail
@@ -302,25 +288,6 @@ bool ShardStatsMsg::Decode(std::string_view payload) {
   }
   pinned_cpu = static_cast<int32_t>(cpu);
   return true;
-}
-
-std::string ExchangeMsg::Encode() const {
-  WireWriter w;
-  w.U8(version);
-  w.U64(txn_id);
-  w.U32(attempt);
-  w.U32(static_cast<uint32_t>(from_shard));
-  EncodeAccessList(w, reads);
-  return w.Take();
-}
-
-bool ExchangeMsg::Decode(std::string_view payload) {
-  WireReader r(payload);
-  uint32_t from = 0;
-  if (!r.U8(&version) || version != kExchangeVersion) return false;
-  if (!r.U64(&txn_id) || !r.U32(&attempt) || !r.U32(&from)) return false;
-  from_shard = static_cast<int32_t>(from);
-  return DecodeAccessList(r, &reads) && r.AtEnd();
 }
 
 std::string TupleBatchMsg::Encode() const {

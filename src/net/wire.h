@@ -27,7 +27,7 @@ namespace jecb::net {
 
 inline constexpr uint8_t kWireVersion = 1;
 /// Hard cap on payload size: anything larger is corruption, not a message.
-/// The largest legal frame is a full exchange tuple batch: batch payloads
+/// The largest legal frame is a full tuple batch: batch payloads
 /// are clamped well below this (see RuntimeOptions::exchange_batch_bytes),
 /// so a length prefix above the cap can only mean a corrupted or hostile
 /// header — it is rejected from the header alone, before any allocation or
@@ -40,7 +40,9 @@ inline constexpr size_t kFrameHeaderBytes = 4 + 1 + 1 + 2 + 8 + 4;
 inline constexpr size_t kMaxFrameBytes = kFrameHeaderBytes + kMaxPayloadBytes;
 
 /// Message types of the shard protocol (dist/shard_server.h documents the
-/// state machine). Values are wire-stable: append, never renumber.
+/// state machine). Values are wire-stable: append, never renumber. 8 (a
+/// commit ack) and 12 (a shard-to-shard row pull) are retired: the decoder
+/// rejects them, and they are never reused.
 enum class MsgType : uint8_t {
   kHello = 1,       ///< client -> shard: version/identity handshake
   kHelloAck = 2,    ///< shard -> client
@@ -48,13 +50,11 @@ enum class MsgType : uint8_t {
   kExecuteAck = 4,  ///< shard -> client
   kPrepare = 5,     ///< coordinator -> shard: 2PC prepare + fragment
   kVote = 6,        ///< shard -> coordinator: yes / reject / down
-  kCommit = 7,      ///< coordinator -> shard: apply + release
-  kCommitAck = 8,   ///< shard -> coordinator
-  kAbort = 9,       ///< coordinator -> shard: release without applying
+  kCommit = 7,      ///< coordinator -> shard, one-way: apply + release
+  kAbort = 9,       ///< coordinator -> shard, one-way: release without applying
   kShutdown = 10,   ///< control -> shard: stop serving after replying
   kShardStats = 11, ///< shard -> control: final shard-side counters
-  kExchangeReq = 12,  ///< shard -> shard (data plane): pull remote read rows
-  kTupleBatch = 13,   ///< data plane: one bounded batch of materialized rows
+  kTupleBatch = 13,   ///< shard -> coordinator: read rows ahead of a yes vote
   kTelemetryReq = 14, ///< control -> shard: drain spans + metrics snapshot
   kTelemetry = 15,    ///< shard -> control: one bounded telemetry batch
 };
@@ -209,11 +209,11 @@ struct FragmentMsg {
   uint32_t attempt = 0;
   uint32_t class_id = 0;
   std::vector<WireAccess> accesses;
-  /// Exchange plan, carried only on the home shard's kPrepare: the full read
-  /// set of the transaction in access order. At commit time the home shard
-  /// pulls the remote rows over the data plane and streams the assembled
-  /// read set to the coordinator. Encoded as a back-compat tail — absent
-  /// (old encoders / non-home participants) decodes as empty.
+  /// Carried on kPrepare: the reads this participant serves, in access
+  /// order — the rows it owns, plus the replicated rows when it is the
+  /// transaction's home. A yes vote ships their bytes ahead of it as
+  /// kTupleBatch frames. Encoded as a back-compat tail — absent (kExecute,
+  /// or a participant with nothing to serve) decodes as empty.
   std::vector<WireAccess> exchange_reads;
 
   std::string Encode() const;
@@ -232,8 +232,8 @@ struct VoteMsg {
   bool Decode(std::string_view payload);
 };
 
-/// kExecuteAck, kCommit, kCommitAck and kAbort all carry just the txn
-/// coordinates for cross-checking.
+/// kExecuteAck, kCommit and kAbort all carry just the txn coordinates for
+/// cross-checking.
 struct TxnRefMsg {
   uint64_t txn_id = 0;
   uint32_t attempt = 0;
@@ -245,7 +245,7 @@ struct TxnRefMsg {
 /// Shard-side counters returned on shutdown: the coordinator folds them into
 /// the replay's transport report and cross-checks them against its own
 /// request accounting. The exchange_* block is a back-compat tail (absent
-/// decodes as zero): data-plane traffic served/initiated by this shard.
+/// decodes as zero): the read rows this shard shipped with its yes votes.
 struct ShardStatsMsg {
   uint64_t executed_local = 0;
   uint64_t prepares_served = 0;
@@ -258,16 +258,10 @@ struct ShardStatsMsg {
   uint64_t bytes_sent = 0;
   uint64_t dedup_dropped = 0;
   uint64_t peer_disconnects = 0;
-  // --- exchange data plane (tail; all-or-nothing) ---
-  uint64_t exchange_reqs_served = 0;   ///< unique kExchangeReq handled
+  // --- exchange tail (all-or-nothing) ---
   uint64_t exchange_batches_sent = 0;  ///< kTupleBatch frames emitted
-  uint64_t exchange_tuples_sent = 0;   ///< rows materialized for peers
-  uint64_t exchange_bytes_sent = 0;    ///< encoded row bytes shipped to peers
-  uint64_t exchange_reqs_sent = 0;     ///< kExchangeReq this shard initiated
-  uint64_t exchange_wire_drops = 0;      ///< injected drops on data channels
-  uint64_t exchange_wire_delays = 0;     ///< injected delays on data channels
-  uint64_t exchange_wire_duplicates = 0; ///< injected dups on data channels
-  uint64_t exchange_reconnects = 0;      ///< data-channel reconnects
+  uint64_t exchange_tuples_sent = 0;   ///< rows shipped with yes votes
+  uint64_t exchange_bytes_sent = 0;    ///< encoded row bytes shipped
   // --- topology tail (all-or-nothing, after the exchange tail) ---
   int32_t pinned_cpu = -1;          ///< logical cpu the child pinned to; -1 = unpinned
   uint64_t ctx_voluntary = 0;       ///< getrusage voluntary context switches
@@ -277,24 +271,10 @@ struct ShardStatsMsg {
   bool Decode(std::string_view payload);
 };
 
-/// Version byte for the exchange data-plane payloads. Independent of
-/// kWireVersion so the data plane can evolve (compression, columnar batches)
-/// without invalidating the control protocol.
+/// Version byte for tuple-batch payloads. Independent of kWireVersion so the
+/// batch encoding can evolve (compression, columnar batches) without
+/// invalidating the control protocol.
 inline constexpr uint8_t kExchangeVersion = 1;
-
-/// shard -> shard (data plane): "send me these rows". `from_shard` is the
-/// requesting (home) shard; `txn_id`/`attempt` are the fault-decision
-/// coordinates so injected data-channel faults are reproducible.
-struct ExchangeMsg {
-  uint8_t version = kExchangeVersion;
-  uint64_t txn_id = 0;
-  uint32_t attempt = 0;
-  int32_t from_shard = 0;
-  std::vector<WireAccess> reads;  ///< write flag unused; rows to materialize
-
-  std::string Encode() const;
-  bool Decode(std::string_view payload);
-};
 
 /// One entry of a tuple batch: a materialized row, encoded by
 /// runtime/exchange.h's EncodeRowBytes. Wire cost: 16 bytes + the row bytes.
@@ -306,11 +286,11 @@ struct TupleBatchEntry {
   std::string_view bytes;
 };
 
-/// Data plane: one bounded batch of materialized rows. A multi-batch
-/// response sets `last` only on the final batch; `batch_index` increases
-/// from 0 so the receiver can detect a truncated stream. Decode makes the
-/// entries view `payload`, so the caller keeps the payload alive (and in
-/// place) for as long as it uses them.
+/// One bounded batch of the rows a participant serves, sent ahead of its
+/// yes vote. A multi-batch share sets `last` only on the final batch;
+/// `batch_index` increases from 0 so the receiver can detect a lost or
+/// reordered batch. Decode makes the entries view `payload`, so the caller
+/// keeps the payload alive (and in place) for as long as it uses them.
 struct TupleBatchMsg {
   uint8_t version = kExchangeVersion;
   uint64_t txn_id = 0;
@@ -325,8 +305,8 @@ struct TupleBatchMsg {
 };
 
 /// Version byte for telemetry payloads, independent of kWireVersion (same
-/// rationale as kExchangeVersion: the telemetry plane can evolve without
-/// invalidating the control protocol).
+/// rationale as kExchangeVersion: telemetry can evolve without invalidating
+/// the control protocol).
 inline constexpr uint8_t kTelemetryVersion = 1;
 /// Hard cap on any single string carried by a telemetry payload (span/metric
 /// names, thread names). Real names are tens of bytes; anything longer is

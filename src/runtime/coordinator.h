@@ -9,8 +9,8 @@
 //
 //   - in-process (dist/transport.cc): per-shard mutexes taken on the client
 //     thread, with simulated CPU work and network round trips;
-//   - socket (dist/socket_transport.cc): prepare/vote/commit/ack frames to
-//     forked shard-server processes over FaultyChannels.
+//   - socket (dist/socket_transport.cc): prepare/vote frames and one-way
+//     commits to forked shard-server processes over FaultyChannels.
 //
 // Because one class does the accounting, ReplayReport::OutcomeSignature() is
 // backend-invariant by construction; tests/coordinator_test.cc pins the

@@ -2,16 +2,18 @@
 // tuple bytes, and accounting for what that movement costs. This is the
 // backend-independent half of exchange-style tuple routing — it knows rows,
 // shard ownership, batching arithmetic, and the payload digest, but nothing
-// about sockets. The wire half (dist/exchange.h) ships the same entries over
-// shard-to-shard data channels; the in-process backend views them straight
-// in the encoded-row store. Both funnel through BuildExchangeOutcome, the ONE
-// place exchange metrics are computed, which is what makes every
-// jecb_exchange_* counter and the digest bit-identical across backends.
+// about sockets. The socket backends ship the same entries from each 2PC
+// participant to the coordinator with its yes vote (dist/shard_server.h);
+// the in-process backend views them straight in the encoded-row store. Both
+// funnel through BuildExchangeOutcome, the ONE place exchange metrics are
+// computed, which is what makes every jecb_exchange_* counter and the digest
+// bit-identical across backends.
 //
-// Timing: exchange happens on the COMMITTING attempt only. Aborted or
-// timed-out attempts ship nothing, so rows move exactly once per committed
-// transaction — the property that keeps the counters independent of fault
-// wiring, client count, and transport.
+// Timing: exchange is accounted on the COMMITTING attempt only. Rows a yes
+// vote shipped for an attempt that then aborted are dropped unaccounted, so
+// the counters count each committed transaction's rows exactly once — the
+// property that keeps them independent of fault wiring, client count, and
+// transport.
 #pragma once
 
 #include <cstdint>
@@ -50,9 +52,9 @@ struct ExchangeEntry {
 /// digest below covers real wire bytes, not an abstraction of them.
 std::string EncodeRowBytes(const Row& row);
 
-/// Views `reads` in the encoded-row store, in order. Shared by the
-/// in-process backend (assembling directly) and the shard-side ExchangeNode
-/// (serving a peer's pull), so byte content cannot diverge between them.
+/// Views `reads` in the encoded-row store, in order. The shard server ships
+/// a yes vote's rows from it, so byte content cannot diverge from the
+/// in-process backend's assembly.
 std::vector<ExchangeEntry> MaterializeReads(const ShardedDatabase& sharded,
                                             const std::vector<TupleId>& reads);
 

@@ -30,8 +30,8 @@ struct ShardMetrics {
   std::atomic<uint64_t> stalls{0};            ///< injected stalls served
   std::atomic<uint64_t> prepare_rejects{0};   ///< injected "no" votes
   std::atomic<uint64_t> down_events{0};       ///< prepares refused while down
-  /// Exchange data plane, attributed to the shard that OWNS the tuples (the
-  /// shard the bytes were pulled from), not the home that assembled them.
+  /// Remote read rows, attributed to the shard that OWNS the tuples (the
+  /// shard whose vote shipped them), not the home they were read for.
   std::atomic<uint64_t> exchange_tuples_out{0};
   std::atomic<uint64_t> exchange_bytes_out{0};
   /// Topology block (pin_threads): the logical cpu the forked shard-server

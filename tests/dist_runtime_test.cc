@@ -8,9 +8,8 @@
 // read-set digests and jecb_exchange_* counters across backends), and clean
 // shard-process shutdown with per-child exit statuses. Runs under
 // ThreadSanitizer via tools/run_tsan.sh (label: tsan); children are forked
-// single-threaded and only afterwards spawn their one exchange data-plane
-// thread, which shares no mutable state with the control loop except the
-// join at shutdown — so the whole protocol stays sanitizer-clean.
+// single-threaded, before any client thread exists, and stay single-threaded
+// — so the whole protocol stays sanitizer-clean.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -201,8 +200,9 @@ TEST(DistRuntimeTest, SocketTransportReportsWireAccounting) {
   EXPECT_EQ(r.transport, TransportKind::kUnixSocket);
   const TransportCounters& c = r.transport_counters;
   // The coordinators' exact frame budget in a fault-free replay: one Execute
-  // per local txn, one Prepare and one Commit per 2PC participant, and one
-  // kShutdown per shard — plus at most one lazy Hello per (session, shard).
+  // per local txn, one Prepare and one one-way Commit per 2PC participant,
+  // and one kShutdown per shard — plus at most one lazy Hello per (session,
+  // shard).
   uint64_t local = 0;
   uint64_t participants = 0;
   for (const ClassifiedTxn& ct : ClassifyTrace(*b.db, solution, b.trace)) {
@@ -228,8 +228,10 @@ TEST(DistRuntimeTest, SocketTransportReportsWireAccounting) {
   EXPECT_EQ(c.wire_drops, 0u);
   EXPECT_EQ(c.reconnects, 0u);
 
+  // One round trip per Execute and per Prepare, none per Commit: a yes vote
+  // brings the shard's read rows, so the commit needs no reply.
+  EXPECT_EQ(r.transport_rtt.count, local + participants);
   // Per-shard wire RTT histograms made it into the report and its renderers.
-  EXPECT_GT(r.transport_rtt.count, 0u);
   uint64_t per_shard = 0;
   for (const ShardReport& s : r.shards) per_shard += s.rtt_count;
   EXPECT_EQ(per_shard, r.transport_rtt.count);
@@ -308,12 +310,10 @@ TEST(DistRuntimeTest, ExchangeParityAcrossBackendsAndClientCounts) {
         ReplayReport dist = RunReplay(b, solution, kind, clients, {}, ctx);
         EXPECT_EQ(dist.OutcomeSignature(), ref.OutcomeSignature()) << ctx;
         ExpectExchangeParity(dist, ref, ctx);
-        // The wire actually carried the rows: the home shards streamed every
-        // assembled read set to their coordinators, and rows owned elsewhere
-        // crossed the shard-to-shard data plane.
+        // The wire actually carried the rows: every participant's yes vote
+        // brought the reads it serves to the coordinator.
         EXPECT_GE(dist.transport_counters.exchange_tuples, dist.exchange_tuples)
             << ctx;
-        EXPECT_GT(dist.transport_counters.exchange_requests, 0u) << ctx;
         EXPECT_GT(dist.transport_counters.exchange_batches, 0u) << ctx;
         EXPECT_GT(dist.transport_counters.exchange_bytes, 0u) << ctx;
       }
@@ -336,8 +336,8 @@ TEST(DistRuntimeTest, ExchangeParitySurvivesWireFaultMixes) {
                                   clients, WireFaults(coordination), ctx);
     EXPECT_EQ(dist.OutcomeSignature(), ref.OutcomeSignature()) << ctx;
     ExpectExchangeParity(dist, ref, ctx);
-    // Every injected duplicate — control plane AND data plane — was
-    // suppressed by a receiver's watermark.
+    // Every injected duplicate, the one-way commits' and aborts' included,
+    // was suppressed by a shard's watermark.
     EXPECT_GE(dist.transport_counters.dedup_drops,
               dist.transport_counters.wire_duplicates)
         << ctx;
@@ -358,8 +358,8 @@ TEST(DistRuntimeTest, ExchangeBatchesStraddleFrameBoundaries) {
   EXPECT_EQ(ref.exchange_tuples, coarse_ref.exchange_tuples);
   EXPECT_GT(ref.exchange_batches, coarse_ref.exchange_batches);
 
-  // The wire backend splits identically: multi-batch streams straddle
-  // CommitAck-terminated frame sequences without losing or reordering rows.
+  // The wire backend splits identically: multi-batch shares arrive ahead of
+  // their votes without losing or reordering rows.
   tiny.transport = TransportKind::kUnixSocket;
   ReplayReport dist = Replay(*b.db, solution, b.trace, tiny, "unix-tiny-batch");
   EXPECT_EQ(dist.OutcomeSignature(), ref.OutcomeSignature());

@@ -1,10 +1,13 @@
 // Tests for the wire layer (src/net): payload struct encode/decode round
 // trips, frame encode -> FrameBuffer decode under arbitrary chunking,
 // truncated- and corrupted-frame handling (CRC, version, size cap, sticky
-// errors), a deterministic mutation fuzz over the frame decoder, and an
-// in-thread event-loop echo exercising accept/read/dedup/shutdown over a
-// real Unix-domain socket.
+// errors), a deterministic mutation fuzz over the frame decoder, TCP_NODELAY
+// on accepted TCP peers, and an in-thread event-loop echo exercising
+// accept/read/dedup/shutdown over a real Unix-domain socket.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <cstdlib>
 #include <string>
@@ -91,17 +94,17 @@ TEST(WireTest, PayloadStructsRoundTrip) {
   stats.commits_applied = 3;
   stats.bytes_received = 1 << 20;
   stats.dedup_dropped = 5;
-  stats.exchange_reqs_served = 6;
+  stats.exchange_batches_sent = 6;
   stats.exchange_tuples_sent = 7;
-  stats.exchange_reconnects = 8;
+  stats.exchange_bytes_sent = 8;
   ShardStatsMsg stats2;
   ASSERT_TRUE(stats2.Decode(stats.Encode()));
   EXPECT_EQ(stats2.prepares_served, 2u);
   EXPECT_EQ(stats2.bytes_received, 1u << 20);
   EXPECT_EQ(stats2.dedup_dropped, 5u);
-  EXPECT_EQ(stats2.exchange_reqs_served, 6u);
+  EXPECT_EQ(stats2.exchange_batches_sent, 6u);
   EXPECT_EQ(stats2.exchange_tuples_sent, 7u);
-  EXPECT_EQ(stats2.exchange_reconnects, 8u);
+  EXPECT_EQ(stats2.exchange_bytes_sent, 8u);
 }
 
 TEST(WireTest, FragmentExchangeTailRoundTripsAndStaysBackCompat) {
@@ -124,30 +127,6 @@ TEST(WireTest, FragmentExchangeTailRoundTripsAndStaysBackCompat) {
   ASSERT_EQ(out.exchange_reads.size(), 2u);
   EXPECT_EQ(out.exchange_reads[1].table, 2u);
   EXPECT_EQ(out.exchange_reads[1].row, 20u);
-}
-
-TEST(WireTest, ExchangeMsgRoundTripAndRejects) {
-  ExchangeMsg req;
-  req.txn_id = 991;
-  req.attempt = 2;
-  req.from_shard = 3;
-  req.reads = {{5, 50, 0}, {6, 60, 0}};
-  std::string good = req.Encode();
-  ExchangeMsg out;
-  ASSERT_TRUE(out.Decode(good));
-  EXPECT_EQ(out.version, kExchangeVersion);
-  EXPECT_EQ(out.txn_id, 991u);
-  EXPECT_EQ(out.from_shard, 3);
-  ASSERT_EQ(out.reads.size(), 2u);
-  EXPECT_EQ(out.reads[1].row, 60u);
-
-  for (size_t cut = 0; cut < good.size(); ++cut) {
-    EXPECT_FALSE(out.Decode(good.substr(0, cut))) << "cut=" << cut;
-  }
-  EXPECT_FALSE(out.Decode(good + "x"));
-  std::string bad_version = good;
-  bad_version[0] = static_cast<char>(kExchangeVersion + 1);
-  EXPECT_FALSE(out.Decode(bad_version));
 }
 
 TEST(WireTest, TupleBatchMsgRoundTripAndRejectsLyingCounts) {
@@ -413,12 +392,14 @@ TEST(FrameBufferTest, RejectsBadVersionUnknownTypeAndOversizedLength) {
     buf.Feed(bytes.data(), bytes.size());
     EXPECT_EQ(buf.Next(&f), FrameBuffer::NextResult::kCorrupt);
   }
-  {
+  // Type byte: no such message, or a retired one (8 and 12).
+  for (char type : {'\x7F', '\x08', '\x0C'}) {
     std::string bytes = EncodeFrame(MsgType::kHello, 1, "x");
-    bytes[5] = 0x7F;  // type byte: no such message
+    bytes[5] = type;
     FrameBuffer buf;
     buf.Feed(bytes.data(), bytes.size());
-    EXPECT_EQ(buf.Next(&f), FrameBuffer::NextResult::kCorrupt);
+    EXPECT_EQ(buf.Next(&f), FrameBuffer::NextResult::kCorrupt)
+        << static_cast<int>(type);
   }
   {
     // A length beyond the cap is rejected from the header alone — the
@@ -530,6 +511,28 @@ TEST(FrameBufferTest, RandomGarbageNeverYieldsAFrame)
   // A CRC + version + type + size check surviving random garbage should be
   // a ~2^-32 event; zero hits expected over 500 tries.
   EXPECT_EQ(frames, 0);
+}
+
+TEST(SocketTest, AcceptedTcpPeerHasNoDelay) {
+  // A shard answers a prepare with tuple batches and then the vote; with
+  // Nagle on the accepted side, the vote would wait for a delayed ACK.
+  SocketAddr addr;
+  addr.is_unix = false;
+  Result<Socket> listener = Listen(addr);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  Result<uint16_t> port = BoundTcpPort(listener.value());
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  addr.port = port.value();
+  Result<Socket> client = Connect(addr);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Result<Socket> accepted = Accept(listener.value());
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(getsockopt(accepted.value().fd(), IPPROTO_TCP, TCP_NODELAY,
+                       &nodelay, &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
 }
 
 TEST(EventLoopTest, UnixSocketEchoWithDedupAndShutdown) {
