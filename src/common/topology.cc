@@ -231,9 +231,9 @@ bool PinCurrentProcessToCpu(int32_t cpu) {
   CPU_ZERO(&set);
   CPU_SET(cpu, &set);
   // sched_setaffinity(0, ...) pins the calling thread only; called while
-  // the process is still single-threaded (right after fork, before the
-  // shard server spawns its exchange thread), every future thread inherits
-  // the mask, which is how one call covers the whole child.
+  // the process is still single-threaded (right after fork), every thread
+  // it starts later inherits the mask, which is how one call covers the
+  // whole child.
   return sched_setaffinity(0, sizeof(set), &set) == 0;
 #else
   (void)cpu;

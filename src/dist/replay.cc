@@ -321,13 +321,13 @@ void ReplayReport::PublishTo(MetricsRegistry& registry) const {
   counter("jecb_replay_abnormal_shard_exits_total", abnormal_shard_exits(),
           "Shard child processes that did not exit cleanly");
   counter("jecb_replay_shed_total", shed,
-          "Open-loop arrivals dropped at a full admission queue");
+          "Open-loop arrivals dropped at admission");
   gauge("jecb_replay_wall_seconds", wall_seconds, "Replay wall-clock time");
   if (open_loop()) {
     gauge("jecb_replay_target_tps", target_tps,
           "Requested open-loop offered load");
     gauge("jecb_replay_offered_tps", offered_tps,
-          "Measured open-loop arrival rate");
+          "Open-loop schedule's arrival rate");
   }
   gauge("jecb_topology_cpus", topology.cpus, "Logical cpus on this machine");
   gauge("jecb_topology_physical_cores", topology.physical_cores,
@@ -368,11 +368,11 @@ void ReplayReport::PublishTo(MetricsRegistry& registry) const {
         .Merge(sojourn_hist);
     registry
         .Histogram("jecb_replay_queue_wait_latency_us" + lb,
-                   "Open-loop admission wait: dequeue - scheduled arrival")
+                   "Open-loop queue wait: executor start - scheduled arrival")
         .Merge(queue_wait_hist);
     registry
         .Histogram("jecb_replay_service_latency_us" + lb,
-                   "Open-loop service: completion - admission dequeue")
+                   "Open-loop service: completion - executor start")
         .Merge(service_hist);
   }
   if (transport_rtt_hist.count > 0) {
@@ -583,8 +583,8 @@ ReplayReport Replay(const Database& db, const DatabaseSolution& solution,
   // Phase B: run the classified trace. Closed loop (the default): clients
   // race through the trace, each blocking on its own completions. Open loop
   // (target_tps > 0): a deterministic arrival schedule offers load
-  // independent of completions, shedding at a full admission queue — see
-  // runtime/load_gen.h.
+  // independent of completions, shedding arrivals past the admission
+  // bound — see runtime/load_gen.h.
   //
   // Both shapes stop the wall clock at the LAST TRANSACTION COMPLETION, not
   // at thread join: client join and backend teardown cost must never

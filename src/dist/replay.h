@@ -141,17 +141,17 @@ struct ReplayReport {
 
   /// Open-loop driver block (runtime/load_gen.h); all zero in closed-loop
   /// mode. Conservation invariant: total_txns == committed + failed + shed.
-  /// Sojourn is measured from the *scheduled* arrival, so admission backlog
-  /// shows up as queue_wait instead of vanishing.
+  /// Sojourn is measured from the *scheduled* arrival, so backlog and
+  /// dispatch lateness show up as queue_wait instead of vanishing.
   double target_tps = 0.0;   ///< requested offered load (0 = closed loop)
-  /// Measured arrival rate: total_txns over the window in which the arrival
-  /// thread pushed or shed them. It falls short of target_tps only when the
-  /// arrival thread lags its schedule.
+  /// The schedule's arrival rate: total_txns over the span from the epoch
+  /// to the last scheduled arrival. Executors running behind the schedule
+  /// lengthen queue_wait, not this window.
   double offered_tps = 0.0;
-  uint64_t shed = 0;         ///< arrivals dropped at a full admission queue
+  uint64_t shed = 0;         ///< arrivals dropped at admission
   LatencyReport sojourn;     ///< completion - scheduled arrival
-  LatencyReport queue_wait;  ///< admission dequeue - scheduled arrival
-  LatencyReport service;     ///< completion - admission dequeue
+  LatencyReport queue_wait;  ///< executor start - scheduled arrival
+  LatencyReport service;     ///< completion - executor start
   HistogramData sojourn_hist;
   HistogramData queue_wait_hist;
   HistogramData service_hist;

@@ -48,16 +48,21 @@ std::string PostmortemPath(const std::string& dir, int32_t shard) {
 /// Receives one complete frame from a blocking socket, feeding leftover
 /// bytes through `in` (which must persist across calls on the same
 /// connection). Counts raw received bytes into *bytes when non-null.
-/// Returns false on timeout, EOF, or a corrupt stream.
+/// Returns false on timeout, EOF, or a corrupt stream; *timed_out (when
+/// non-null) tells the first apart: SO_RCVTIMEO expired on an open
+/// connection.
 bool RecvFrameBlocking(net::Socket& sock, net::FrameBuffer& in, Frame* frame,
-                       uint64_t* bytes) {
+                       uint64_t* bytes, bool* timed_out = nullptr) {
   char chunk[4096];
   for (;;) {
     net::FrameBuffer::NextResult res = in.Next(frame);
     if (res == net::FrameBuffer::NextResult::kFrame) return true;
     if (res == net::FrameBuffer::NextResult::kCorrupt) return false;
     net::RecvSomeResult r = net::RecvSome(sock, chunk, sizeof(chunk));
-    if (r.n <= 0) return false;
+    if (r.n <= 0) {
+      if (timed_out != nullptr) *timed_out = r.n < 0 && r.status.ok();
+      return false;
+    }
     in.Feed(chunk, static_cast<size_t>(r.n));
     if (bytes != nullptr) *bytes += static_cast<uint64_t>(r.n);
   }
@@ -290,18 +295,20 @@ void SocketTransport::SendShutdown(int32_t i, ShutdownCall& call) {
   call.counters.bytes_sent += req.size();
 }
 
-bool SocketTransport::CollectShardStats(int32_t i, ShutdownCall& call) {
-  if (!call.control.valid()) return false;
+SocketTransport::ShutdownReply SocketTransport::CollectShardStats(
+    int32_t i, ShutdownCall& call) {
+  if (!call.control.valid()) return ShutdownReply::kNone;
   const int64_t offset = ClockOffsetUs(i);
   TransportCounters& local = call.counters;
   // The shard streams zero or more kTelemetry batches (its final recorder
   // drain + metrics snapshot), terminated by the kShardStats reply.
   net::ShardStatsMsg stats;
   bool have_stats = false;
+  bool timed_out = false;
   for (;;) {
     Frame frame;
     if (!RecvFrameBlocking(call.control, call.in, &frame,
-                           &local.bytes_received)) {
+                           &local.bytes_received, &timed_out)) {
       break;
     }
     if (frame.type == MsgType::kTelemetry) {
@@ -332,10 +339,11 @@ bool SocketTransport::CollectShardStats(int32_t i, ShutdownCall& call) {
                                  std::memory_order_relaxed);
   }
   MergeCounters(local);
-  return have_stats;
+  if (have_stats) return ShutdownReply::kStats;
+  return timed_out ? ShutdownReply::kTimedOut : ShutdownReply::kNone;
 }
 
-void SocketTransport::ReapShard(int32_t i, bool replied) {
+void SocketTransport::ReapShard(int32_t i, ShutdownReply reply) {
   pid_t pid = procs_[static_cast<size_t>(i)].pid;
   if (pid <= 0) return;
   procs_[static_cast<size_t>(i)].pid = -1;
@@ -357,7 +365,8 @@ void SocketTransport::ReapShard(int32_t i, bool replied) {
   };
   // A shard that sent its stats is already on its way out, so poll for it
   // finely; one that did not reply gets coarse polls until the next rung.
-  const std::chrono::microseconds step(replied ? 100 : 10000);
+  const std::chrono::microseconds step(
+      reply == ShutdownReply::kStats ? 100 : 10000);
   auto wait_for = [pid, step, &ex, &record](int millis) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(millis);
@@ -380,7 +389,11 @@ void SocketTransport::ReapShard(int32_t i, bool replied) {
       std::this_thread::sleep_for(step);
     }
   };
-  if (wait_for(2000)) return;
+  // A shard whose stats receive timed out is wedged: it already had that
+  // timeout to act on kShutdown, so it gets one last look, not the grace
+  // period. One whose connection closed without stats (a crash) gets the
+  // grace to finish dying, so a crash is never recorded as forced_term.
+  if (wait_for(reply == ShutdownReply::kTimedOut ? 0 : 2000)) return;
   ex.forced_term = true;
   kill(pid, SIGTERM);
   if (wait_for(1000)) return;

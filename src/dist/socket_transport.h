@@ -85,6 +85,13 @@ class SocketTransport : public Transport {
     pid_t pid = -1;
   };
 
+  /// How a shard answered kShutdown, which sets the reap ladder's first rung.
+  enum class ShutdownReply {
+    kStats,     ///< the stats arrived: the shard is exiting
+    kTimedOut,  ///< the stats receive timed out on an open connection: wedged
+    kNone,      ///< unreachable, or the connection ended without stats
+  };
+
   /// One shard's shutdown control connection, open from SendShutdown to
   /// CollectShardStats.
   struct ShutdownCall {
@@ -121,14 +128,15 @@ class SocketTransport : public Transport {
   void SendShutdown(int32_t i, ShutdownCall& call);
   /// Folds shard `i`'s kShardStats reply (loop counters + exchange tail)
   /// into the transport counters; kTelemetry frames arriving before the
-  /// stats are ingested into ClusterTelemetry. Returns whether the stats
-  /// arrived.
-  bool CollectShardStats(int32_t i, ShutdownCall& call);
+  /// stats are ingested into ClusterTelemetry. Returns how the shard
+  /// answered.
+  ShutdownReply CollectShardStats(int32_t i, ShutdownCall& call);
   /// Waits for child `i`, escalating WNOHANG -> SIGTERM -> SIGKILL, and
   /// records its exit status (code, signal, which rung forced it) in
-  /// shard_exits_. `replied`: the shard sent its stats, so it is exiting
-  /// and is polled for in fine steps.
-  void ReapShard(int32_t i, bool replied);
+  /// shard_exits_. A shard that sent its stats is exiting and is polled for
+  /// in fine steps; a wedged one (kTimedOut) is SIGTERMed without the
+  /// grace period.
+  void ReapShard(int32_t i, ShutdownReply reply);
 
   const ShardedDatabase& sharded_;
   const RuntimeOptions options_;

@@ -159,9 +159,9 @@ Status SendAll(const Socket& sock, const void* data, size_t len) {
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // The send side stays blocking in this codebase; an EAGAIN here
-        // means someone flipped the fd — busy-wait briefly rather than
-        // corrupt the stream by giving up mid-frame.
+        // A non-blocking socket (every one EventLoop accepts) whose send
+        // buffer is full: wait briefly and retry rather than corrupt the
+        // stream by giving up mid-frame.
         std::this_thread::sleep_for(std::chrono::microseconds(50));
         continue;
       }

@@ -80,7 +80,8 @@ Result<Socket> Accept(const Socket& listener);
 /// racing a server that is still between bind and accept does not flake.
 Result<Socket> Connect(const SocketAddr& addr, int max_attempts = 50);
 
-/// Marks the fd non-blocking (the event loop's read side).
+/// Sets or clears O_NONBLOCK, which covers both directions: EventLoop makes
+/// every socket it accepts non-blocking for reads and sends alike.
 Status SetNonBlocking(const Socket& sock, bool non_blocking);
 
 /// Writes all `len` bytes, looping over partial writes and EINTR. SIGPIPE is

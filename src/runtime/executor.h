@@ -110,23 +110,24 @@ struct RuntimeOptions {
   /// each of num_clients issues its next txn only after the previous one
   /// finishes. A positive value switches Replay() to the open-loop driver:
   /// arrivals follow the deterministic schedule regardless of completions,
-  /// num_clients executor threads drain the admission queue, and arrivals
-  /// that find it full are shed (counted, never executed).
+  /// num_clients executor threads each sleep to the next arrival and run it,
+  /// and arrivals that find admission_queue_depth admitted arrivals still
+  /// waiting to start are shed (counted, never executed).
   double target_tps = 0.0;
   /// Arrival schedule shape when target_tps > 0.
   ArrivalProcess arrival = ArrivalProcess::kFixedRate;
-  /// Admission queue capacity for open-loop arrivals; 0 = unbounded (never
-  /// sheds, arbitrary queueing delay — what you want when asserting
-  /// cross-config OutcomeSignature identity under overload).
+  /// Open-loop admission bound: how many admitted arrivals may be waiting
+  /// for an executor when the next one is due before that one is shed.
+  /// 0 = unbounded (never sheds, arbitrary queueing delay — what you want
+  /// when asserting cross-config OutcomeSignature identity under overload).
   uint32_t admission_queue_depth = 1024;
 
   // ---- CPU topology (src/common/topology.h) ----
 
-  /// Pin forked shard-server children + their exchange threads (socket
-  /// backends) to distinct logical cpus, physical cores first
-  /// (BuildPinPlan). Does nothing in-process, where transactions run on the
-  /// client threads. Best-effort and performance-only: outcomes are
-  /// identical pinned or not.
+  /// Pin forked shard-server children (socket backends) to distinct
+  /// logical cpus, physical cores first (BuildPinPlan). Does nothing
+  /// in-process, where transactions run on the client threads. Best-effort
+  /// and performance-only: outcomes are identical pinned or not.
   bool pin_threads = false;
 };
 

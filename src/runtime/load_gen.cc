@@ -3,10 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <deque>
+#include <mutex>
+#include <optional>
 #include <thread>
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 #include "obs/trace_recorder.h"
-#include "runtime/work_queue.h"
 
 namespace jecb {
 
@@ -53,17 +59,6 @@ std::vector<uint64_t> ComputeArrivalScheduleUs(const RuntimeOptions& options,
   return schedule;
 }
 
-namespace {
-
-/// What the arrival thread hands an executor: which txn, and when the
-/// schedule said it arrived (the sojourn clock's zero).
-struct Admitted {
-  size_t index = 0;
-  uint64_t scheduled_us = 0;
-};
-
-}  // namespace
-
 OpenLoopResult RunOpenLoop(
     const RuntimeOptions& options, size_t total_txns,
     std::chrono::steady_clock::time_point epoch,
@@ -72,26 +67,67 @@ OpenLoopResult RunOpenLoop(
   OpenLoopResult result;
   result.submitted = total_txns;
   const std::vector<uint64_t> schedule = ComputeArrivalScheduleUs(options, total_txns);
+  if (!schedule.empty()) result.arrival_window_us = schedule.back();
 
-  WorkQueue<Admitted> admission;
-  admission.SetCapacity(options.admission_queue_depth);
+  // Claim state, guarded by claim_mu. Arrivals are claimed in schedule
+  // order and claim times never decrease, so the admitted start times in
+  // `waiting` (each max(due, claim time)) stay sorted: popping those <= due_i
+  // leaves exactly the admitted arrivals that had not started when arrival
+  // i was due.
+  std::mutex claim_mu;
+  size_t next = 0;
+  std::deque<uint64_t> waiting;
+  const size_t depth = options.admission_queue_depth;
 
-  std::atomic<uint64_t> shed{0};
   std::atomic<uint64_t> last_done_us{0};
   TraceRecorder& rec = TraceRecorder::Default();
 
+  // The next arrival admitted by the FIFO rule, shedding the ones before it
+  // that found `depth` admitted arrivals still waiting to start; nullopt
+  // once the schedule is exhausted.
+  auto claim = [&]() -> std::optional<size_t> {
+    std::lock_guard<std::mutex> guard(claim_mu);
+    for (; next < total_txns; ++next) {
+      if (depth != 0) {
+        const uint64_t due_us = schedule[next];
+        while (!waiting.empty() && waiting.front() <= due_us) {
+          waiting.pop_front();
+        }
+        if (waiting.size() >= depth) {
+          ++result.shed;
+          if (rec.enabled() && TxnTraceSampled(options.faults.seed, next,
+                                               options.trace_sample_rate)) {
+            rec.Instant("openloop", "shed", "txn", static_cast<int64_t>(next));
+          }
+          continue;
+        }
+        waiting.push_back(std::max(due_us, ElapsedUs(epoch)));
+      }
+      ++result.admitted;
+      return next++;
+    }
+    return std::nullopt;
+  };
+
   auto run_executor = [&](int executor_id) {
-    while (auto item = admission.Pop()) {
-      const uint64_t dequeue_us = ElapsedUs(epoch);
-      execute(executor_id, item->index);
+#if defined(__linux__)
+    // Timer slack is per thread, and Linux's default 50 us would let every
+    // sleep_until below wake that much late. Best effort: a refusal costs
+    // only accuracy, and shows up as queue_wait.
+    prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
+    while (std::optional<size_t> i = claim()) {
+      const uint64_t due_us = schedule[*i];
+      std::this_thread::sleep_until(epoch + std::chrono::microseconds(due_us));
+      const uint64_t start_us = ElapsedUs(epoch);
+      execute(executor_id, *i);
       const uint64_t done_us = ElapsedUs(epoch);
 
-      // Charge admission backlog to the system: the split is anchored at
-      // the *scheduled* arrival, so a txn that sat in the admission queue
-      // shows up as queue_wait even though no shard ever saw it.
-      const uint64_t queue_wait =
-          dequeue_us > item->scheduled_us ? dequeue_us - item->scheduled_us : 0;
-      const uint64_t service = done_us - dequeue_us;
+      // Charge backlog and dispatch lateness to the system: the split is
+      // anchored at the *scheduled* arrival, so a txn that waited for a free
+      // executor shows up as queue_wait even though no shard ever saw it.
+      const uint64_t queue_wait = start_us > due_us ? start_us - due_us : 0;
+      const uint64_t service = done_us - start_us;
       metrics->queue_wait_latency.Record(queue_wait);
       metrics->service_latency.Record(service);
       metrics->sojourn_latency.Record(queue_wait + service);
@@ -104,46 +140,26 @@ OpenLoopResult RunOpenLoop(
                                                  std::memory_order_relaxed)) {
       }
 
-      if (rec.enabled() && TxnTraceSampled(options.faults.seed, item->index,
+      if (rec.enabled() && TxnTraceSampled(options.faults.seed, *i,
                                            options.trace_sample_rate)) {
-        const int64_t tid = static_cast<int64_t>(item->index);
-        rec.Span("openloop", "queue_wait", item->scheduled_us, queue_wait,
-                 "txn", tid);
-        rec.Span("openloop", "service", dequeue_us, service, "txn", tid);
+        const int64_t tid = static_cast<int64_t>(*i);
+        rec.Span("openloop", "queue_wait", due_us, queue_wait, "txn", tid);
+        rec.Span("openloop", "service", start_us, service, "txn", tid);
       }
     }
   };
 
+  // The calling thread only starts and joins the executors: each keeps its
+  // own arrival clock, so no hand-off sits between an arrival's due time and
+  // its start.
   const int num_executors = std::max(options.num_clients, 1);
   std::vector<std::thread> executors;
   executors.reserve(static_cast<size_t>(num_executors));
   for (int i = 0; i < num_executors; ++i) {
     executors.emplace_back(run_executor, i);
   }
-
-  // The calling thread is the arrival thread. Deadline-accurate by
-  // construction: it only ever sleeps until the next scheduled arrival and
-  // uses TryPush, so a saturated admission queue sheds instantly instead of
-  // stalling the schedule (which would silently convert open loop back into
-  // closed loop).
-  for (size_t i = 0; i < total_txns; ++i) {
-    const uint64_t due_us = schedule[i];
-    std::this_thread::sleep_until(epoch + std::chrono::microseconds(due_us));
-    if (admission.TryPush(Admitted{i, due_us})) {
-      ++result.admitted;
-    } else {
-      shed.fetch_add(1, std::memory_order_relaxed);
-      if (rec.enabled() && TxnTraceSampled(options.faults.seed, i,
-                                           options.trace_sample_rate)) {
-        rec.Instant("openloop", "shed", "txn", static_cast<int64_t>(i));
-      }
-    }
-  }
-  result.arrival_window_us = ElapsedUs(epoch);
-  admission.Close();
   for (std::thread& t : executors) t.join();
 
-  result.shed = shed.load(std::memory_order_relaxed);
   result.last_completion_us = last_done_us.load(std::memory_order_relaxed);
   metrics->shed.fetch_add(result.shed, std::memory_order_relaxed);
   return result;

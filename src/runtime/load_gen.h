@@ -9,22 +9,22 @@
 // and the fault injector — so the set of transactions offered, and at
 // sub-saturation loads the set executed, is identical at any executor-thread
 // count and on any transport backend. What is timing-dependent by design is
-// *shedding*: an arrival that finds the bounded admission queue full is
-// dropped (counted in RuntimeMetrics::shed, never executed). The invariant
-// that always holds is
+// *shedding*: an arrival that finds admission_queue_depth admitted arrivals
+// still waiting to start is dropped (counted in RuntimeMetrics::shed, never
+// executed). The invariant that always holds is
 //
 //   submitted == committed + failed + shed
 //
-// and whenever shed == 0 (target below capacity, or an unbounded admission
-// queue) the committed set — and thus ReplayReport::OutcomeSignature() — is
+// and whenever shed == 0 (target below capacity, or unbounded admission)
+// the committed set — and thus ReplayReport::OutcomeSignature() — is
 // bit-identical to the closed-loop replay of the same trace.
 //
-// Sojourn accounting: every executed txn's latency is split at the admission
-// dequeue point into queue_wait (scheduled arrival -> dequeue) and service
-// (dequeue -> completion); sojourn is their sum, measured from the
-// *scheduled* arrival so admission backlog is charged to the system, not
-// hidden. Sampled txns additionally emit "openloop/queue_wait" and
-// "openloop/service" spans for tools/trace_stats.
+// Sojourn accounting: every executed txn's latency is split where an
+// executor starts it into queue_wait (scheduled arrival -> start) and
+// service (start -> completion); sojourn is their sum, measured from the
+// *scheduled* arrival so backlog and dispatch lateness are charged to the
+// system, not hidden. Sampled txns additionally emit "openloop/queue_wait"
+// and "openloop/service" spans for tools/trace_stats.
 #pragma once
 
 #include <chrono>
@@ -51,24 +51,33 @@ std::vector<uint64_t> ComputeArrivalScheduleUs(const RuntimeOptions& options,
 
 struct OpenLoopResult {
   uint64_t submitted = 0;  ///< arrivals offered (== trace size)
-  uint64_t admitted = 0;   ///< arrivals that entered the admission queue
-  uint64_t shed = 0;       ///< arrivals dropped at a full admission queue
+  uint64_t admitted = 0;   ///< arrivals admitted, and so executed
+  uint64_t shed = 0;       ///< arrivals dropped at admission
   /// Completion time of the last executed txn, microseconds after `epoch`
   /// (0 when nothing executed): the open-loop wall clock, teardown excluded.
   uint64_t last_completion_us = 0;
-  /// When the arrival thread finished pushing or shedding the last arrival,
-  /// microseconds after `epoch`: the window over which load was offered.
+  /// The last scheduled arrival, microseconds after `epoch`: the window the
+  /// schedule offers load over. Executors running late show up as
+  /// queue_wait, never here.
   uint64_t arrival_window_us = 0;
 };
 
-/// Runs the trace of `total_txns` transactions through the open-loop driver:
-/// the calling thread becomes the arrival thread (walking the schedule by
-/// wall clock against `epoch`, shedding — never blocking — on a full
-/// admission queue), while options.num_clients executor threads drain the
-/// queue and call `execute(executor_id, txn_index)` for each admitted txn.
+/// Runs the trace of `total_txns` transactions through the open-loop driver
+/// on options.num_clients executor threads, each keeping its own arrival
+/// clock: it claims the next arrival in schedule order, sleeps until that
+/// arrival is due against `epoch` (at 1 ns timer slack, best effort), and
+/// calls `execute(executor_id, txn_index)`. The calling thread only starts
+/// and joins the executors.
+///
+/// Admission is FIFO: arrival i is admitted iff, at its scheduled time,
+/// fewer than options.admission_queue_depth admitted arrivals have not yet
+/// started (0 = unbounded). The rest are shed: counted (sampled ones also
+/// traced as "openloop/shed" instants), never executed, and never a delay
+/// to the schedule, which would silently turn open loop into closed loop.
+///
 /// `execute` must be thread-safe across executor ids; per-executor state
-/// (e.g. a TransportSession) should be created on first use keyed by
-/// executor_id, which is stable per thread. Updates metrics->shed and the
+/// (e.g. a TransportSession) should be keyed by executor_id, which is
+/// stable per thread. Updates metrics->shed and the
 /// sojourn/queue_wait/service histograms; outcome counters are whatever
 /// `execute` records.
 OpenLoopResult RunOpenLoop(

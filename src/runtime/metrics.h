@@ -94,8 +94,8 @@ struct MetricsSnapshot {
   // conservation invariant is submitted = committed + failed + shed.
   uint64_t shed = 0;                 ///< arrivals dropped at admission
   HistogramData sojourn_latency;     ///< completion - scheduled arrival
-  HistogramData queue_wait_latency;  ///< admission dequeue - scheduled arrival
-  HistogramData service_latency;     ///< completion - admission dequeue
+  HistogramData queue_wait_latency;  ///< executor start - scheduled arrival
+  HistogramData service_latency;     ///< completion - executor start
   HistogramData exchange_fanout;       ///< distinct remote source shards/txn
   HistogramData local_latency;        ///< merged over shards
   HistogramData distributed_latency;  ///< merged over shards
@@ -140,13 +140,13 @@ class RuntimeMetrics {
   std::atomic<uint64_t> exchange_batches{0};
   std::atomic<uint64_t> exchange_digest{0};
 
-  /// Open-loop accounting: transactions dropped at the admission queue
-  /// (never executed), plus the sojourn split. The arrival thread sheds
+  /// Open-loop accounting: transactions dropped at admission (never
+  /// executed), plus the sojourn split. The open-loop driver sheds
   /// deterministically only in the sense of the conservation invariant —
-  /// whether a given txn sheds depends on queue occupancy, i.e. on timing —
-  /// so saturated open-loop runs are load-dependent by design, and the
-  /// cross-backend OutcomeSignature contract applies to sub-saturation runs
-  /// where shed == 0.
+  /// whether a given txn sheds depends on how many admitted arrivals are
+  /// still waiting to start, i.e. on timing — so saturated open-loop runs
+  /// are load-dependent by design, and the cross-backend OutcomeSignature
+  /// contract applies to sub-saturation runs where shed == 0.
   std::atomic<uint64_t> shed{0};
   LatencyHistogram sojourn_latency;
   LatencyHistogram queue_wait_latency;

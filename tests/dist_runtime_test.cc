@@ -12,7 +12,7 @@
 // — so the whole protocol stays sanitizer-clean.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -523,6 +523,15 @@ TEST(DistTelemetryTest, TelemetryOnOffAndLivePollingKeepSignature) {
   }
 }
 
+// Removes a postmortem dump and the transport's private jecb-post-XXXXXX
+// directory that the dump kept alive (empty once the dump is gone: one
+// shard dumped).
+void RemovePostmortem(const std::string& path) {
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  std::filesystem::remove(std::filesystem::path(path).parent_path(), ec);
+}
+
 TEST(DistTelemetryTest, InjectedCrashLeavesParseablePostmortem) {
   WorkloadBundle b = SmallTpcc(150);
   DatabaseSolution solution = MixedSolution(*b.db, 2);
@@ -541,6 +550,7 @@ TEST(DistTelemetryTest, InjectedCrashLeavesParseablePostmortem) {
   const ShardExitStatus& crashed = r.shard_exits[1];
   EXPECT_FALSE(crashed.clean());
   EXPECT_EQ(crashed.exit_code, 3);
+  EXPECT_FALSE(crashed.forced_term) << "a crash must not read as a wedge";
   ASSERT_FALSE(crashed.postmortem_path.empty());
   // The healthy shard shut down normally and left no dump.
   EXPECT_TRUE(r.shard_exits[0].clean());
@@ -563,7 +573,7 @@ TEST(DistTelemetryTest, InjectedCrashLeavesParseablePostmortem) {
   EXPECT_EQ(header.reason, "injected-crash");
   EXPECT_GT(header.pid, 0);
 
-  std::remove(crashed.postmortem_path.c_str());
+  RemovePostmortem(crashed.postmortem_path);
 }
 
 TEST(DistTelemetryTest, WedgedShardIsTermedAndLeavesSigtermPostmortem) {
@@ -588,7 +598,7 @@ TEST(DistTelemetryTest, WedgedShardIsTermedAndLeavesSigtermPostmortem) {
   EXPECT_EQ(header.shard, 0);
   EXPECT_EQ(header.reason, "sigterm");
 
-  std::remove(wedged.postmortem_path.c_str());
+  RemovePostmortem(wedged.postmortem_path);
 }
 
 TEST(DistTelemetryTest, LiveMetricsEndpointServesClusterSeriesMidReplay) {

@@ -8,26 +8,34 @@
 //     bit-for-bit across 1/4/8 clients and the inproc/unix/tcp backends;
 //   - the shed conservation invariant total = committed + failed + shed
 //     holds under a saturating target with a tiny admission queue;
-//   - offered_tps reports the arrival rate even when service lags far
+//   - offered_tps is the schedule's arrival rate even when service lags far
 //     behind the schedule;
+//   - every executor runs its arrivals at 1 ns timer slack, and admission
+//     sheds exactly the arrivals that find admission_queue_depth admitted
+//     ones still waiting to start;
 //   - pin_threads is performance-only: signatures are identical with it on
 //     or off;
 //   - the sysfs topology parser golden-tests against a fabricated tree and
 //     degrades to the flat fallback when the tree is absent;
-//   - WorkQueue::TryPush never blocks, and Arena allocation keeps returned
-//     memory contiguous, aligned and stable.
+//   - Arena allocation keeps returned memory contiguous, aligned and stable.
 // Runs under ThreadSanitizer (label: tsan).
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/arena.h"
@@ -35,7 +43,6 @@
 #include "dist/replay.h"
 #include "partition/solution.h"
 #include "runtime/load_gen.h"
-#include "runtime/work_queue.h"
 #include "workloads/tpcc.h"
 
 namespace jecb {
@@ -184,8 +191,8 @@ TEST(OpenLoopReplayTest, ShedConservationUnderSaturation) {
 
 // Offered load is the arrival rate, not throughput: service (one client,
 // 500 us per transaction) is ten times slower than the schedule, so the
-// replay ends long after the last arrival, yet offered_tps must still
-// report what the arrival thread pushed.
+// replay ends long after the last arrival, yet offered_tps must still be
+// the schedule's rate.
 TEST(OpenLoopReplayTest, OfferedLoadIsTheArrivalRateUnderOverload) {
   WorkloadBundle bundle = SmallTpcc(200);
   DatabaseSolution solution = MixedSolution(*bundle.db, 2);
@@ -200,7 +207,11 @@ TEST(OpenLoopReplayTest, OfferedLoadIsTheArrivalRateUnderOverload) {
   EXPECT_EQ(r.shed, 0u);
   EXPECT_EQ(r.total_txns, 200u);
   EXPECT_LT(r.goodput_tps, 0.5 * opt.target_tps) << "the run must be overloaded";
-  EXPECT_GE(r.offered_tps, 0.8 * opt.target_tps);
+  const std::vector<uint64_t> schedule =
+      ComputeArrivalScheduleUs(opt, r.total_txns);
+  const double window_s = static_cast<double>(schedule.back()) / 1e6;
+  EXPECT_DOUBLE_EQ(r.offered_tps,
+                   static_cast<double>(r.total_txns) / window_s);
 }
 
 TEST(OpenLoopReplayTest, FixedRateAndPoissonBothReproduceClosedLoop) {
@@ -218,6 +229,70 @@ TEST(OpenLoopReplayTest, FixedRateAndPoissonBothReproduceClosedLoop) {
     EXPECT_EQ(open.OutcomeSignature(), closed.OutcomeSignature())
         << ArrivalProcessName(arrival);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Open-loop dispatch: fake `execute`s against RunOpenLoop directly
+
+// Each executor sleeps to its own arrival, so each must have cut its timer
+// slack from Linux's default 50 us to 1 ns before it runs one.
+TEST(OpenLoopDispatchTest, EveryExecutorRunsAtOneNanosecondTimerSlack) {
+  constexpr size_t kExecutors = 4;
+  RuntimeOptions opt;
+  opt.num_clients = static_cast<int>(kExecutors);
+  opt.target_tps = 1000.0;
+  opt.arrival = ArrivalProcess::kFixedRate;
+  opt.admission_queue_depth = 0;
+
+  std::mutex mu;
+  std::condition_variable all_in;
+  std::map<int, int> slack_by_executor;
+  auto execute = [&](int executor_id, size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    slack_by_executor[executor_id] = prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+    all_in.notify_all();
+    // Hold each executor until all have run one, so that none can take
+    // every arrival and leave another unchecked.
+    all_in.wait_for(lock, std::chrono::seconds(10),
+                    [&] { return slack_by_executor.size() == kExecutors; });
+  };
+  RuntimeMetrics metrics(1);
+  OpenLoopResult r = RunOpenLoop(
+      opt, kExecutors, std::chrono::steady_clock::now(), execute, &metrics);
+
+  EXPECT_EQ(r.admitted, kExecutors);
+  ASSERT_EQ(slack_by_executor.size(), kExecutors);
+  for (const auto& [executor_id, slack] : slack_by_executor) {
+    EXPECT_EQ(slack, 1) << "executor " << executor_id;
+  }
+}
+
+// FIFO admission, exactly: one executor, depth 1, arrivals 100 ms apart and
+// txn 0 busy for 250 ms. Arrival 1 (due at 100) waits behind txn 0;
+// arrival 2 (due at 200) finds it still waiting and is shed; arrival 3 (due
+// at 300) comes after arrival 1 started (at 250) and runs. Each decision
+// has 50 ms of margin.
+TEST(OpenLoopDispatchTest, ShedsExactlyTheArrivalThatFindsTheQueueFull) {
+  RuntimeOptions opt;
+  opt.num_clients = 1;
+  opt.target_tps = 10.0;
+  opt.arrival = ArrivalProcess::kFixedRate;
+  opt.admission_queue_depth = 1;
+
+  std::vector<size_t> ran;  // one executor: only its thread appends
+  auto execute = [&](int, size_t i) {
+    ran.push_back(i);
+    if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  };
+  RuntimeMetrics metrics(1);
+  OpenLoopResult r =
+      RunOpenLoop(opt, 4, std::chrono::steady_clock::now(), execute, &metrics);
+
+  EXPECT_EQ(ran, (std::vector<size_t>{0, 1, 3}));
+  EXPECT_EQ(r.submitted, 4u);
+  EXPECT_EQ(r.admitted, 3u);
+  EXPECT_EQ(r.shed, 1u);
+  EXPECT_EQ(metrics.shed.load(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -391,34 +466,6 @@ TEST(TopologyDetectTest, ContextSwitchCountersAreMonotoneFacts) {
   ContextSwitchCounts a = ProcessContextSwitches();
   ContextSwitchCounts b = ProcessContextSwitches();
   EXPECT_GE(b.voluntary + b.involuntary, a.voluntary + a.involuntary);
-}
-
-// ---------------------------------------------------------------------------
-// WorkQueue::TryPush
-
-TEST(WorkQueueTryPushTest, NeverBlocksAtCapacityAndAfterClose) {
-  WorkQueue<int> q;
-  q.SetCapacity(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3)) << "full queue must refuse instantly";
-  ASSERT_TRUE(q.Pop().has_value());
-  EXPECT_TRUE(q.TryPush(3)) << "slot freed by Pop";
-  q.Close();
-  EXPECT_FALSE(q.TryPush(4)) << "closed queue refuses";
-  // The two queued items still drain after Close.
-  EXPECT_TRUE(q.Pop().has_value());
-  EXPECT_TRUE(q.Pop().has_value());
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(WorkQueueTryPushTest, UnboundedTryPushAlwaysSucceeds) {
-  WorkQueue<int> q;  // capacity 0 = unbounded
-  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(q.TryPush(i));
-  q.Close();
-  size_t drained = 0;
-  while (q.Pop().has_value()) ++drained;
-  EXPECT_EQ(drained, 1000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 # build instead of being silently skipped.
 #
 # Covers the runtime (coordinator, in-process channel, fault injector), the
+# open-loop driver (executors claiming arrivals under one mutex), the
 # parallel partitioning pipeline (thread pool, chunked Evaluate, parallel
 # Combiner search), the fault-injection suites, and the distributed
 # runtime (net wire/event-loop suite plus the multi-process socket

@@ -129,8 +129,8 @@ int main(int argc, char** argv) {
   std::map<int64_t, std::vector<ChromeTraceEvent>> by_pid;
   std::map<int64_t, TxnPath> txns;
   // Open-loop sojourn split ("openloop" category, runtime/load_gen.cc):
-  // queue_wait (scheduled arrival -> admission dequeue) vs service
-  // (dequeue -> completion) per sampled txn.
+  // queue_wait (scheduled arrival -> executor start) vs service
+  // (start -> completion) per sampled txn.
   struct Side {
     uint64_t count = 0;
     uint64_t total_us = 0;
